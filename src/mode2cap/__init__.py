@@ -4,12 +4,10 @@ sidelink (5G NR V2X Mode 2 style)."""
 
 from .config import (
     ConfigError,
-    DerivedConstants,
     ScenarioConfig,
     TrafficIntensityError,
     db_to_linear,
     dbm_to_watts,
-    derived_constants,
     linear_to_db,
     repetition_probability,
     transmit_probability,
@@ -37,7 +35,6 @@ from .analytic import (
     capacity_sweep,
     loss_recursion,
     plr,
-    plr_at_distance,
     repetition_noncollision_prob,
     success_prob,
     success_prob_series,

@@ -1,7 +1,8 @@
 """Analytical packet-loss chain: collision probabilities, loss recursion,
 quadrature over distance, and the capacity solver.
 
-The chain per TX-RX distance r:
+The chain per TX-RX distance r (the collision probabilities also take an
+array of distances and return one value per distance):
   * success_prob       -- no collision with the background flow of transmissions,
                           from the exclusion radii thinned by a Poisson line process;
   * repetition_noncollision_prob -- a repetition avoids the interferer that broke
@@ -14,24 +15,25 @@ capacity() inverts it against the QoS bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy import stats
 
 from .config import (
     ScenarioConfig,
     TrafficIntensityError,
+    pool_map,
     transmit_probability,
     repetition_probability,
     truncation_depth,
     validate_config,
 )
-from .link import exclusion_profile, sinr_no_interference
+from .link import exclusion_radius, sinr_no_interference
 from .overlap import overlap_distribution
 
 # Beyond this many geometric terms the recursion table gets unreasonably wide;
@@ -58,12 +60,10 @@ class RecursionTable:
     truncation_k: int
     c_max: int
     clamped: bool
-    values: np.ndarray | None = None
+    values: np.ndarray
 
     def valid_c_max(self, t: int) -> int:
         # the c = 0 column is exact at every level by construction
-        if self.values is None:
-            return 0
         return max(0, self.values.shape[1] - 1 - t * self.truncation_k)
 
 
@@ -100,7 +100,19 @@ def _interference_weights(config: ScenarioConfig) -> np.ndarray:
     return np.asarray(dist.probs[1:], dtype=float)
 
 
-def success_prob(r: float, config: ScenarioConfig) -> float:
+def _exclusion_radii(r: ArrayLike, config: ScenarioConfig) -> np.ndarray:
+    """Exclusion radii for overlaps m = 1..M along a new last axis of r."""
+    overlaps = np.arange(1, config.packet_width_m + 1)
+    return exclusion_radius(np.asarray(r, dtype=float)[..., None], overlaps, config)
+
+
+def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_m weights[m] * values[..., m], with the same summation order for
+    every shape of values (a BLAS dot or matmul may reorder it)."""
+    return (values * weights).sum(axis=-1)
+
+
+def success_prob(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     """Probability that one attempt survives the background flow at distance r.
 
     Closed form exp(-2*phi*p * sum_m P_m * rho_m(r)): each of the Poisson
@@ -109,15 +121,14 @@ def success_prob(r: float, config: ScenarioConfig) -> float:
     when noise alone already breaks reception (SINR0 <= T) or when some
     possible overlap has an unbounded exclusion radius.
     """
-    if sinr_no_interference(r, config) <= config.sinr_threshold_t:
-        return 0.0
     weights = _interference_weights(config)
-    rho = np.asarray(exclusion_profile(r, config).rho)
-    if np.any(np.isinf(rho) & (weights > 0.0)):
-        return 0.0
+    active = weights > 0.0
+    rho = _exclusion_radii(r, config)
+    doomed = (sinr_no_interference(r, config) <= config.sinr_threshold_t) \
+        | np.any(np.isinf(rho) & active, axis=-1)
     p = transmit_probability(config)
-    exponent = 2.0 * config.phi * p * float(np.dot(weights, np.where(weights > 0, rho, 0.0)))
-    return math.exp(-exponent)
+    exponent = 2.0 * config.phi * p * _weighted_sum(np.where(active, rho, 0.0), weights)
+    return np.where(doomed, 0.0, np.exp(-exponent))[()]
 
 
 def success_prob_series(r: float, config: ScenarioConfig, r_bar: float,
@@ -132,7 +143,7 @@ def success_prob_series(r: float, config: ScenarioConfig, r_bar: float,
     and r_bar beyond the largest of them.
     """
     weights = _interference_weights(config)
-    rho = np.asarray(exclusion_profile(r, config).rho)
+    rho = _exclusion_radii(r, config)
     if np.any(np.isinf(rho) & (weights > 0.0)):
         raise ValueError("series form requires finite exclusion radii")
     mean_excl = float(np.dot(weights, np.where(weights > 0, rho, 0.0)))
@@ -152,16 +163,17 @@ def success_prob_series(r: float, config: ScenarioConfig, r_bar: float,
     return total
 
 
-def repetition_noncollision_prob(r: float, config: ScenarioConfig) -> float:
+def repetition_noncollision_prob(r: ArrayLike,
+                                 config: ScenarioConfig) -> float | np.ndarray:
     """Probability that a repetition escapes the interferer that collided with
     the first attempt, given both repeat in the same slot."""
-    weights = _interference_weights(config)
-    rho = np.asarray(exclusion_profile(r, config).rho)
-    return _noncollision_from_profile(weights, rho)
+    return _noncollision_from_profile(_interference_weights(config),
+                                      _exclusion_radii(r, config))
 
 
-def _noncollision_from_profile(weights: np.ndarray, rho: np.ndarray) -> float:
-    """Core of the repetition non-collision probability.
+def _noncollision_from_profile(weights: np.ndarray,
+                               rho: np.ndarray) -> float | np.ndarray:
+    """Core of the repetition non-collision probability, for radii rho[..., m].
 
     1 - (joint first+repetition failure) / (first-attempt failure), both
     expressed through overlap-weighted exclusion radii.  Unbounded radii are
@@ -169,17 +181,17 @@ def _noncollision_from_profile(weights: np.ndarray, rho: np.ndarray) -> float:
     weight of the unbounded overlaps.
     """
     weights = np.asarray(weights, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    active = weights > 0.0
-    inf_weight = float(weights[active & np.isinf(rho)].sum())
-    if inf_weight > 0.0:
-        return 1.0 - inf_weight
-    denom = float(np.dot(weights, np.where(active, rho, 0.0)))
-    if denom == 0.0:
-        return 1.0
-    pair_min = np.minimum.outer(rho, rho)
-    numer = float(weights @ pair_min @ weights)
-    return 1.0 - numer / denom
+    rho = np.where(weights > 0.0, np.asarray(rho, dtype=float), 0.0)
+    inf_weight = _weighted_sum(np.isinf(rho), weights)
+    denom = _weighted_sum(rho, weights)
+    pair_min = np.minimum(rho[..., :, None], rho[..., None, :])
+    # rows with an unbounded radius or a zero denominator give inf/inf or 0/0
+    # here; np.where replaces them below
+    with np.errstate(invalid="ignore"):
+        numer = _weighted_sum(_weighted_sum(pair_min, weights), weights)
+        ratio = numer / denom
+    return np.where(inf_weight > 0.0, 1.0 - inf_weight,
+                    np.where(denom == 0.0, 1.0, 1.0 - ratio))[()]
 
 
 class _RecursionOperator:
@@ -275,12 +287,6 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
                           c_max=op.c_max, clamped=clamped, values=table)
 
 
-def plr_at_distance(r: float, config: ScenarioConfig, *,
-                    truncation_k: int | None = None) -> float:
-    """Packet loss rate for a receiver at distance r."""
-    return loss_recursion(r, config, truncation_k=truncation_k).plr_r
-
-
 @lru_cache(maxsize=8)
 def _gauss_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(points)
@@ -292,18 +298,18 @@ def _quadrature(config: ScenarioConfig, op: _RecursionOperator,
     x, w = _gauss_nodes(points)
     r_max = config.range_r
     width = r_max / panels
+    half = 0.5 * width
+    # nodes[i, j] = mid_i + half * x_j, summed panel by panel as a double loop would
+    nodes = ((np.arange(panels) + 0.5) * width)[:, None] + half * x
+    _, p_s, p_nc = np.broadcast_arrays(nodes, success_prob(nodes, config),
+                                       repetition_noncollision_prob(nodes, config))
     total = 0.0
     clamped = False
-    for i in range(panels):
-        mid = (i + 0.5) * width
-        half = 0.5 * width
-        for xj, wj in zip(x, w):
-            r = mid + half * xj
-            p_s = success_prob(r, config)
-            p_nc = repetition_noncollision_prob(r, config)
-            value, cl, _ = op.run(p_s, p_nc)
-            total += wj * half * value
-            clamped = clamped or cl
+    for wj, ps, pnc in zip(np.tile(w, panels).tolist(), p_s.ravel().tolist(),
+                           p_nc.ravel().tolist()):
+        value, cl, _ = op.run(ps, pnc)
+        total += wj * half * value
+        clamped = clamped or cl
     return total / r_max, clamped
 
 
@@ -361,7 +367,6 @@ def capacity(config: ScenarioConfig, *, lambda_lo: float = 1e-4,
 
     lo = lambda_lo
     hi = lambda_lo
-    above_limit = False
     while True:
         nxt = hi * 10.0
         if nxt >= lambda_cap:
@@ -399,8 +404,7 @@ def capacity(config: ScenarioConfig, *, lambda_lo: float = 1e-4,
         if np.any(diffs < -1e-9 * np.maximum(np.abs(values[:-1]), 1e-300)):
             mono_warning = True
 
-    return CapacityResult(lo, above_search_limit=above_limit,
-                          monotonicity_warning=mono_warning,
+    return CapacityResult(lo, monotonicity_warning=mono_warning,
                           validity_warning=validity)
 
 
@@ -426,9 +430,4 @@ def capacity_sweep(config: ScenarioConfig,
     names = [name for name, _ in items]
     combos = [dict(zip(names, values)) for values in product(*(vals for _, vals in items))]
     payloads = [(config, overrides, capacity_kwargs) for overrides in combos]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-    else:
-        results = [_sweep_worker(p) for p in payloads]
-    return list(zip(combos, results))
+    return list(zip(combos, pool_map(_sweep_worker, payloads, workers)))

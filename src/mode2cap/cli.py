@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +19,7 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     TrafficIntensityError,
+    pool_map,
     validate_config,
 )
 from .sim import SimConfig, run as sim_run, validate_sim_config
@@ -28,7 +28,6 @@ from .sim import SimConfig, run as sim_run, validate_sim_config
 SWEEP_PARAMETERS = {
     "nu": "repetitions_nu",
     "bandwidth_b": "num_subchannels_b",
-    "lambda": "lambda_rate",
     "plr_target": "plr_target",
 }
 
@@ -154,17 +153,10 @@ def _plr_worker(payload: tuple[float, ScenarioConfig]):
     return plr(lam, cfg)
 
 
-def _map_parallel(worker, payloads, workers: int):
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, payloads))
-    return [worker(p) for p in payloads]
-
-
 def cmd_plr(args) -> int:
     cfg = load_scenario(args)
     lambdas = parse_lambda_list(args.lambda_list)
-    points = _map_parallel(_plr_worker, [(lam, cfg) for lam in lambdas], args.workers)
+    points = pool_map(_plr_worker, [(lam, cfg) for lam in lambdas], args.workers)
     rows = [
         (pt.lambda_rate, pt.plr, pt.error_estimate,
          "model_validity" if pt.validity_warning else "")
@@ -178,8 +170,6 @@ def cmd_plr(args) -> int:
 def cmd_capacity(args) -> int:
     cfg = load_scenario(args)
     specs = [parse_sweep(text) for text in args.vary or []]
-    if any(spec.name == "lambda" for spec in specs):
-        raise ConfigError("lambda cannot be swept for capacity; it is the solved quantity")
     if not specs:
         result = capacity(cfg)
         rows = [(result.capacity, ";".join(result.flags))]
@@ -280,13 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_plr.add_argument("--lambda", dest="lambda_list", action="append",
                        metavar="LIST", help="comma-separated loads, 1/s (repeatable)")
 
-    for name in ("capacity", "sweep"):
-        p_cap = sub.add_parser(name, help="capacity, optionally over a parameter grid")
-        common(p_cap)
-        p_cap.add_argument("--vary", action="append", metavar="NAME=START..STOP[:STEP]",
-                           help="sweep spec; repeat for a grid "
-                                f"(names: {', '.join(sorted(SWEEP_PARAMETERS))})")
-        p_cap.set_defaults(func=cmd_capacity)
+    p_cap = sub.add_parser("capacity", help="capacity, optionally over a parameter grid")
+    common(p_cap)
+    p_cap.add_argument("--vary", action="append", metavar="NAME=START..STOP[:STEP]",
+                       help="sweep spec; repeat for a grid "
+                            f"(names: {', '.join(sorted(SWEEP_PARAMETERS))})")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run, JSON report")
     common(p_sim)
@@ -299,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="LIST", help="comma-separated loads, 1/s (repeatable)")
 
     p_plr.set_defaults(func=cmd_plr)
+    p_cap.set_defaults(func=cmd_capacity)
     p_sim.set_defaults(func=cmd_simulate)
     p_val.set_defaults(func=cmd_validate)
     return parser

@@ -1,4 +1,6 @@
-"""Scenario configuration, unit conversion, and derived protocol constants.
+"""Scenario configuration, unit conversion, derived protocol constants, and
+the process-pool fan-out that sweeps, PLR curves and simulator replications
+share.
 
 Everything downstream (analytic chain and simulator) works in SI linear
 units: watts, meters, seconds, linear power ratios.  dB / dBm values are
@@ -6,9 +8,10 @@ accepted only at the config boundary and converted here.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 
 class ConfigError(ValueError):
@@ -83,16 +86,6 @@ class ScenarioConfig:
         return replace(self, lambda_rate=lambda_rate)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Protocol constants derived from a validated ScenarioConfig."""
-
-    window_w: int
-    tx_prob_p: float
-    rep_prob_pr: float
-    truncation_k: int
-
-
 def transmit_probability(config: ScenarioConfig) -> float:
     """Per-slot transmit probability of a UE under sporadic load.
 
@@ -127,15 +120,6 @@ def truncation_depth(config: ScenarioConfig) -> int:
     """
     p = transmit_probability(config)
     return max(1, math.ceil(math.log(config.plr_target) / math.log(p)))
-
-
-def derived_constants(config: ScenarioConfig) -> DerivedConstants:
-    return DerivedConstants(
-        window_w=config.window_w,
-        tx_prob_p=transmit_probability(config),
-        rep_prob_pr=repetition_probability(config),
-        truncation_k=truncation_depth(config),
-    )
 
 
 _POWER_FIELDS = {"tx_power_s": ("watts", "dbm", dbm_to_watts),
@@ -209,3 +193,17 @@ def validate_config(raw: Mapping[str, Any] | ScenarioConfig) -> ScenarioConfig:
     except TrafficIntensityError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
+
+
+def pool_map(worker: Callable, payloads: Sequence, workers: int) -> list:
+    """worker(payload) for every payload, in input order.
+
+    Runs in this process when workers == 1 or there is a single payload;
+    otherwise on a process pool of `workers` processes, started for this
+    call with the platform's default start method and shut down before
+    returning.  worker and payloads must be picklable.
+    """
+    if workers > 1 and len(payloads) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, payloads))
+    return [worker(p) for p in payloads]

@@ -2,15 +2,18 @@
 
 Path loss, per-subchannel SINR, EESM threshold reception, and the exclusion
 radius: the minimum distance an interferer must keep for a packet to survive
-a given frequency overlap.
+a given frequency overlap.  Distances, overlaps and SINRs may be numpy
+arrays: results broadcast over them, and scalar inputs give scalar results.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .config import ScenarioConfig
 
@@ -45,14 +48,18 @@ class EesmOutcome:
     success: bool
 
 
-def pathloss(r: float, config: ScenarioConfig) -> float:
+def pathloss(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     """Linear channel gain (A*r)**-beta at distance r > 0."""
-    if r <= 0.0:
-        raise ValueError(f"distance must be positive, got {r}")
-    return (config.pathloss_a * r) ** (-config.pathloss_beta)
+    r = np.asarray(r, dtype=float)
+    if (r <= 0.0).any():
+        raise ValueError(f"distance must be positive, got {r.min()}")
+    # np.power, not **: on numpy scalars ** calls libm pow, which can differ
+    # in the last bit from the array loop, and a scalar call must equal the
+    # matching element of an array call
+    return np.power(config.pathloss_a * r, -config.pathloss_beta)
 
 
-def sinr_no_interference(r: float, config: ScenarioConfig) -> float:
+def sinr_no_interference(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     """Per-subchannel SINR of a packet received over noise only.
 
     Transmit power is split over the M occupied subchannels, noise is
@@ -69,57 +76,59 @@ def sinr_one_interferer(r: float, r_int: float, config: ScenarioConfig) -> float
         pathloss(r_int, config) * s + config.packet_width_m * config.noise_sigma)
 
 
-def exclusion_radius(r: float, m_overlap: int, config: ScenarioConfig) -> float:
+def exclusion_radius(r: ArrayLike, m_overlap: ArrayLike,
+                     config: ScenarioConfig) -> float | np.ndarray:
     """Minimum interferer distance for reception to survive overlap m_overlap.
 
-    Returns 0.0 when any interferer distance is survivable, math.inf when none
-    is.  Derived by solving EESM > T for the interferer distance with M - m
-    clean subchannels and m interfered ones.
+    r and m_overlap broadcast against each other.  The radius is 0.0 where
+    any interferer distance is survivable and inf where none is.  Derived by
+    solving EESM > T for the interferer distance with M - m clean
+    subchannels and m interfered ones.
     """
     m_w = config.packet_width_m
-    if not (1 <= m_overlap <= m_w):
+    m = np.asarray(m_overlap)
+    if np.any((m < 1) | (m > m_w)):
         raise ValueError(f"overlap must be in [1, {m_w}], got {m_overlap}")
     gamma = config.eesm_gamma
-    ratio = m_w / m_overlap
+    ratio = m_w / m
     xi = ratio * math.exp(-config.sinr_threshold_t / gamma) \
-        - (ratio - 1.0) * math.exp(-sinr_no_interference(r, config) / gamma)
-    if xi >= 1.0:
-        return 0.0
-    if xi <= 0.0:
-        return math.inf
-    bracket = -pathloss(r, config) / (gamma * math.log(xi)) \
-        - config.noise_sigma * m_w / config.tx_power_s
-    if bracket <= 0.0:
-        return math.inf
-    return bracket ** (-1.0 / config.pathloss_beta) / config.pathloss_a
+        - (ratio - 1.0) * np.exp(-sinr_no_interference(r, config) / gamma)
+    # the formula is only evaluated where 0 < xi < 1 and the bracket is
+    # positive; elsewhere np.where overrides whatever it produced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = -pathloss(r, config) / (gamma * np.log(xi)) \
+            - config.noise_sigma * m_w / config.tx_power_s
+        radius = np.power(bracket, -1.0 / config.pathloss_beta) / config.pathloss_a
+    unbounded = (xi <= 0.0) | (bracket <= 0.0)
+    return np.where(xi >= 1.0, 0.0, np.where(unbounded, math.inf, radius))[()]
 
 
 def exclusion_profile(r: float, config: ScenarioConfig) -> ExclusionProfile:
     """Exclusion radii for every overlap width 1..M at distance r."""
-    return ExclusionProfile(tuple(
-        exclusion_radius(r, m, config) for m in range(1, config.packet_width_m + 1)))
+    overlaps = np.arange(1, config.packet_width_m + 1)
+    return ExclusionProfile(tuple(exclusion_radius(r, overlaps, config).tolist()))
 
 
-def effective_sinr(per_subchannel_sinr: Sequence[float] | np.ndarray,
-                   gamma: float) -> float:
-    """EESM collapse of per-subchannel SINRs into one effective SINR.
+def effective_sinr(per_subchannel_sinr: ArrayLike, gamma: float) -> float | np.ndarray:
+    """EESM collapse of per-subchannel SINRs (the last axis) into one
+    effective SINR.
 
     -gamma * ln(mean(exp(-sinr_i / gamma))), evaluated in log space so that
     very large SINRs do not underflow to a bogus infinity.
     """
     x = -np.asarray(per_subchannel_sinr, dtype=float) / gamma
-    if x.size == 0:
+    if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("need at least one subchannel SINR")
-    mx = x.max()
-    if mx == -np.inf:
-        # every subchannel SINR is +inf
-        return math.inf
-    lse = mx + math.log(np.exp(x - mx).sum())
-    return float(-gamma * (lse - math.log(x.size)))
+    n = x.shape[-1]
+    # the clamp only acts where every SINR of a row is +inf: x - mx then
+    # stays -inf instead of nan, and log(0) gives the limit, +inf
+    mx = np.maximum(x.max(axis=-1), -sys.float_info.max)
+    with np.errstate(divide="ignore"):
+        return -gamma * (mx + np.log(np.exp(x - mx[..., None]).sum(axis=-1) / n))
 
 
 def eesm_receive(per_subchannel_sinr: Sequence[float] | np.ndarray,
                  config: ScenarioConfig) -> EesmOutcome:
     """Threshold reception test: success iff the effective SINR exceeds T."""
-    eff = effective_sinr(per_subchannel_sinr, config.eesm_gamma)
+    eff = float(effective_sinr(per_subchannel_sinr, config.eesm_gamma))
     return EesmOutcome(effective_sinr=eff, success=eff > config.sinr_threshold_t)

@@ -13,13 +13,13 @@ import csv
 import heapq
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, validate_config
+from .config import ConfigError, ScenarioConfig, pool_map, validate_config
+from .link import effective_sinr, pathloss
 
 LOSS_HALF_DUPLEX = "half_duplex"
 LOSS_INTERFERENCE = "interference"
@@ -189,12 +189,8 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     nu = sc.repetitions_nu
     b_total = sc.num_subchannels_b
     m_w = sc.packet_width_m
-    a_loss = sc.pathloss_a
-    beta = sc.pathloss_beta
     sig_power = sc.tx_power_s / m_w
     noise = sc.noise_sigma
-    gamma = sc.eesm_gamma
-    threshold = sc.sinr_threshold_t
     cutoff = sim_config.resolved_cutoff()
     margin = sim_config.resolved_edge_margin()
 
@@ -273,8 +269,8 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
                     or [np.empty(0, dtype=int)]))
                 if involved.size:
                     dist = np.abs(pos[involved][:, None] - tx_pos[None, :])
-                    power = np.where(dist <= cutoff,
-                                     sig_power * (a_loss * dist) ** -beta, 0.0)
+                    received = sig_power * pathloss(dist, sc)
+                    power = np.where(dist <= cutoff, received, 0.0)
                     total = np.zeros((involved.size, b_total))
                     for t_idx in range(len(attempts)):
                         st = tx_sub[t_idx]
@@ -288,14 +284,9 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
                         st = tx_sub[k]
                         own = power[rows, k]
                         interference = total[rows, st:st + m_w] - own[:, None]
-                        d_pair = np.abs(pos[rxs] - pos[pkt.tx])
-                        signal = sig_power * (a_loss * d_pair) ** -beta
-                        sinr = signal[:, None] / (noise + interference)
-                        x = -sinr / gamma
-                        mx = x.max(axis=1)
-                        eff = -gamma * (mx + np.log(
-                            np.exp(x - mx[:, None]).sum(axis=1) / m_w))
-                        success = eff > threshold
+                        # the wanted signal ignores the interference cutoff
+                        sinr = received[rows, k][:, None] / (noise + interference)
+                        success = effective_sinr(sinr, sc.eesm_gamma) > sc.sinr_threshold_t
                         pkt.received[nb] |= success
                         if recorder is not None:
                             for rx, ok in zip(rxs, success):
@@ -338,11 +329,7 @@ def run(sim_config: SimConfig, workers: int = 1) -> SimReport:
     """
     cfg = validate_sim_config(sim_config)
     payloads = [(cfg, rep) for rep in range(cfg.replications)]
-    if workers > 1 and cfg.replications > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replication_payload, payloads))
-    else:
-        results = [_run_replication_payload(p) for p in payloads]
+    results = pool_map(_run_replication_payload, payloads, workers)
 
     pairs = sum(r.pairs for r in results)
     if pairs == 0:

@@ -47,6 +47,16 @@ class TestSuccessProb:
                   for lam in (1.0, 10.0, 100.0)]
         assert values[0] > values[1] > values[2]
 
+    def test_array_matches_scalar_calls(self, scenario):
+        # 250 m and beyond is noise-limited, so the zero branch is covered too
+        r = np.linspace(1.0, 300.0, 97)
+        got = success_prob(r, scenario)
+        assert got.shape == r.shape
+        assert np.array_equal(got, [success_prob(ri, scenario) for ri in r.tolist()])
+        assert np.any(got == 0.0) and np.any(got > 0.0)
+        grid = r.reshape(1, 97)
+        assert np.array_equal(success_prob(grid, scenario), got[None, :])
+
 
 class TestSeriesCancellation:
     def test_series_matches_closed_form_for_any_r_bar(self, scenario):
@@ -86,6 +96,16 @@ class TestRepetitionNonCollision:
     def test_reference_point_is_interior(self, scenario):
         value = repetition_noncollision_prob(100.0, scenario)
         assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(sinr_threshold_t=0.5),
+                                        dict(num_subchannels_b=5)])
+    def test_array_matches_scalar_calls(self, kwargs):
+        cfg = make_scenario(**kwargs)
+        r = np.linspace(1.0, 300.0, 97)
+        got = repetition_noncollision_prob(r, cfg)
+        assert got.shape == r.shape
+        assert np.array_equal(
+            got, [repetition_noncollision_prob(ri, cfg) for ri in r.tolist()])
 
 
 class TestLossRecursion:

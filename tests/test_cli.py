@@ -94,7 +94,7 @@ class TestCapacityCommand:
         assert float(rows[0][0]) > 0.0
 
     def test_sweep_grid_sorted(self):
-        out = invoke("sweep", "--vary", "nu=1..2", "--vary", "bandwidth_b=8,10")
+        out = invoke("capacity", "--vary", "nu=1..2", "--vary", "bandwidth_b=8,10")
         assert out.returncode == 0
         header, rows = parse_csv(out.stdout)
         assert header == ["nu", "bandwidth_b", "capacity", "flag"]

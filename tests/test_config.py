@@ -9,10 +9,10 @@ from mode2cap import (
     TrafficIntensityError,
     db_to_linear,
     dbm_to_watts,
-    derived_constants,
     linear_to_db,
     repetition_probability,
     transmit_probability,
+    truncation_depth,
     validate_config,
     watts_to_dbm,
 )
@@ -116,14 +116,13 @@ class TestTransmitProbability:
 
     def test_derived_constants(self):
         cfg = make_scenario(repetitions_nu=2, lambda_rate=100.0, plr_target=1e-2)
-        d = derived_constants(cfg)
-        assert d.window_w == 20
-        assert d.tx_prob_p == pytest.approx(0.09, abs=1e-12)
-        assert d.rep_prob_pr == pytest.approx(2 / 19, rel=1e-15)
+        assert cfg.window_w == 20
+        assert transmit_probability(cfg) == pytest.approx(0.09, abs=1e-12)
+        assert repetition_probability(cfg) == pytest.approx(2 / 19, rel=1e-15)
         # ceil(ln 1e-2 / ln 0.09) = ceil(1.912) = 2
-        assert d.truncation_k == 2
-        assert d.truncation_k >= 1
-        assert 0.0 <= d.rep_prob_pr <= 1.0
+        assert truncation_depth(cfg) == 2
+        assert truncation_depth(cfg) >= 1
+        assert 0.0 <= repetition_probability(cfg) <= 1.0
 
 
 class TestUnitConversions:

@@ -103,6 +103,63 @@ class TestExclusionRadius:
             exclusion_radius(100.0, 0, scenario)
         with pytest.raises(ValueError):
             exclusion_radius(100.0, 4, scenario)
+        with pytest.raises(ValueError):
+            exclusion_radius(100.0, np.array([1, 2, 4]), scenario)
+
+    def test_array_distances_rejected_if_any_nonpositive(self, scenario):
+        with pytest.raises(ValueError):
+            exclusion_radius(np.array([50.0, 0.0]), 3, scenario)
+
+    def test_array_matches_scalar_reference(self):
+        # a low threshold makes small overlaps survivable at short range, so
+        # the grid covers radius 0, finite radii and unbounded radii
+        cfg = make_scenario(sinr_threshold_t=0.5)
+        r = np.linspace(0.5, 400.0, 800)
+        m = np.arange(1, cfg.packet_width_m + 1)
+        got = exclusion_radius(r[:, None], m, cfg)
+        assert got.shape == (r.size, m.size)
+        ref = np.array([[_reference_exclusion_radius(ri, mi, cfg) for mi in m.tolist()]
+                        for ri in r.tolist()])
+        want, kappa = ref[..., 0], ref[..., 1]
+        assert np.any(want == 0.0) and np.any(np.isinf(want))
+        finite = np.isfinite(want) & (want > 0.0)
+        assert np.any(finite)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        # numpy's exp/log/pow may differ from libm's by an ulp; 4 ulp per unit
+        # of the formula's condition number bounds what that can do
+        err = np.abs(got[finite] - want[finite])
+        assert np.all(err <= 4.0 * kappa[finite] * np.spacing(want[finite]))
+
+
+def _reference_exclusion_radius(r: float, m: int, cfg) -> tuple[float, float]:
+    """The scalar exclusion radius written with the math module, one call per
+    (distance, overlap): the reference for the broadcasting implementation.
+
+    Also returns kappa, the first-order bound on the radius's relative error
+    in units of the relative error of each exp, log and pow it evaluates.
+    kappa is of order 1 in the bulk of the range and grows without bound
+    next to the regime boundaries, where the bracket or log(xi) cancels.
+    """
+    m_w = cfg.packet_width_m
+    gamma = cfg.eesm_gamma
+    gain = (cfg.pathloss_a * r) ** (-cfg.pathloss_beta)
+    sinr0 = gain * cfg.tx_power_s / (m_w * cfg.noise_sigma)
+    ratio = m_w / m
+    exp_sinr0 = math.exp(-sinr0 / gamma)
+    xi = ratio * math.exp(-cfg.sinr_threshold_t / gamma) - (ratio - 1.0) * exp_sinr0
+    if xi >= 1.0:
+        return 0.0, 1.0
+    if xi <= 0.0:
+        return math.inf, 1.0
+    log_xi = math.log(xi)
+    q = -gain / (gamma * log_xi)
+    bracket = q - cfg.noise_sigma * m_w / cfg.tx_power_s
+    if bracket <= 0.0:
+        return math.inf, 1.0
+    xi_error = (ratio - 1.0) * exp_sinr0 * (1.0 + sinr0 / gamma) / (xi * abs(log_xi))
+    kappa = 1.0 + q / (cfg.pathloss_beta * bracket) * (2.0 + xi_error)
+    return bracket ** (-1.0 / cfg.pathloss_beta) / cfg.pathloss_a, kappa
 
 
 class TestEesm:
@@ -166,6 +223,22 @@ class TestEesm:
         raised = list(sinrs)
         raised[idx] += bump
         assert effective_sinr(raised, 1.15) >= base - 1e-12
+
+    def test_rows_equal_per_row_calls(self):
+        rng = np.random.default_rng(5)
+        sinrs = rng.exponential(4.0, size=(64, 3))
+        sinrs[0] = np.inf
+        sinrs[1, 2] = 1e5
+        got = effective_sinr(sinrs, 1.15)
+        assert got.shape == (64,)
+        assert np.array_equal(got, [effective_sinr(row, 1.15) for row in sinrs])
+        assert got[0] == math.inf
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError):
+            effective_sinr(np.empty((4, 0)), 1.15)
+        with pytest.raises(ValueError):
+            effective_sinr(5.0, 1.15)
 
     def test_numpy_input_accepted(self, scenario):
         out = eesm_receive(np.array([3.0, 4.0, 5.0]), scenario)
