@@ -15,13 +15,11 @@ from .config import (
     validate_config,
     watts_to_dbm,
 )
-from .overlap import OverlapDistribution, overlap_distribution, overlap_distribution_oracle
+from .overlap import OverlapDistribution, overlap_distribution
 from .link import (
     EesmOutcome,
-    ExclusionProfile,
     eesm_receive,
     effective_sinr,
-    exclusion_profile,
     exclusion_radius,
     pathloss,
     sinr_no_interference,
@@ -37,7 +35,6 @@ from .analytic import (
     plr,
     repetition_noncollision_prob,
     success_prob,
-    success_prob_series,
 )
 from .sim import (
     TRACE_COLUMNS,

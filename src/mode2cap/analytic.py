@@ -131,38 +131,6 @@ def success_prob(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     return np.where(doomed, 0.0, np.exp(-exponent))[()]
 
 
-def success_prob_series(r: float, config: ScenarioConfig, r_bar: float,
-                        n_max: int | None = None) -> float:
-    """Series form of the attempt success probability, before the truncation
-    range r_bar cancels out.
-
-    Sums over the Poisson count n of neighbors within r_bar, the binomial
-    count k of simultaneous transmitters among them, and the per-interferer
-    survival Q1 = 1 - sum_m P_m * rho_m / r_bar.  Exists as an independent
-    cross-check of the closed form; requires every exclusion radius finite
-    and r_bar beyond the largest of them.
-    """
-    weights = _interference_weights(config)
-    rho = _exclusion_radii(r, config)
-    if np.any(np.isinf(rho) & (weights > 0.0)):
-        raise ValueError("series form requires finite exclusion radii")
-    mean_excl = float(np.dot(weights, np.where(weights > 0, rho, 0.0)))
-    if r_bar < float(np.max(np.where(weights > 0, rho, 0.0), initial=0.0)):
-        raise ValueError("r_bar must not be smaller than the largest exclusion radius")
-    p = transmit_probability(config)
-    q1 = 1.0 - mean_excl / r_bar
-    z = 2.0 * config.phi * r_bar
-    if n_max is None:
-        n_max = int(math.ceil(z + 12.0 * math.sqrt(z) + 40.0))
-    total = 0.0
-    h = stats.poisson.pmf(np.arange(n_max + 1), z)
-    for n in range(n_max + 1):
-        k = np.arange(n + 1)
-        inner = float(np.dot(stats.binom.pmf(k, n, p), q1 ** k))
-        total += h[n] * inner
-    return total
-
-
 def repetition_noncollision_prob(r: ArrayLike,
                                  config: ScenarioConfig) -> float | np.ndarray:
     """Probability that a repetition escapes the interferer that collided with
@@ -194,78 +162,114 @@ def _noncollision_from_profile(weights: np.ndarray,
                     np.where(denom == 0.0, 1.0, 1.0 - ratio))[()]
 
 
-class _RecursionOperator:
-    """Reusable loss-recursion evaluator for one (config, lambda) pair.
+# one capacity solve meets at most four truncation depths, hence widths
+@lru_cache(maxsize=8)
+def _mixing_matrices(width: int, p_rep: float,
+                     q_last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binomial mixing matrices of the loss recursion, read-only.
 
-    Precomputes the binomial mixing matrices so that evaluating many
-    distances (quadrature nodes) only costs a few small matrix products per
-    repetition level.
+    g_rep[c, i] = P(i of c mid-repetition interferers transmit in a slot) and
+    g_last[i, j] = P(j of those i transmit their last repetition).  h is the
+    two mixings composed and re-indexed, h[c, d] = (g_rep @ g_last)[c, c - d]
+    for d <= c and 0 above the diagonal, so that
+    sum_j (g_rep @ g_last)[c, j] * x[c - j] = sum_d h[c, d] * x[d].  None of
+    them depends on lambda, so a capacity solve builds them once per width.
+    """
+    n = np.arange(width)
+    g_rep = stats.binom.pmf(n[None, :], n[:, None], p_rep)
+    g_last = stats.binom.pmf(n[None, :], n[:, None], q_last)
+    h = _diagonal_index(g_rep @ g_last)
+    for a in (g_rep, g_last, h):
+        a.setflags(write=False)
+    return g_rep, g_last, h
+
+
+def _diagonal_index(a: np.ndarray) -> np.ndarray:
+    """out[..., c, d] = a[..., c, c - d] for d <= c, and 0 for d > c."""
+    n = np.arange(a.shape[-1])
+    idx = np.maximum(np.subtract.outer(n, n), 0)
+    return np.tril(np.take_along_axis(a, np.broadcast_to(idx, a.shape), axis=-1))
+
+
+class _RecursionOperator:
+    """Loss-recursion evaluator for one (config, lambda) pair, run on a batch
+    of distances (quadrature nodes) at once.
+
+    State is an (N, width) array, one row per node; each level costs a few
+    (N, width, width) elementwise products, so nodes are processed in chunks
+    of `chunk` to bound that memory.
     """
 
+    # largest (chunk, width, width) temporary, in elements (8 MiB of float64)
+    _BATCH_ELEMENTS = 2 ** 20
+
     def __init__(self, config: ScenarioConfig, truncation_k: int | None = None):
-        self.config = config
         self.p = transmit_probability(config)
         self.nu = config.repetitions_nu
         k = truncation_k if truncation_k is not None else truncation_depth(config)
         self.capped = k > MAX_TRUNCATION_DEPTH
         self.k = min(k, MAX_TRUNCATION_DEPTH)
         self.c_max = self.nu * self.k
+        self.width = (self.nu + 1) * self.k + 1 if self.nu else 1
+        self.chunk = max(1, self._BATCH_ELEMENTS // self.width ** 2)
         if self.nu == 0:
             return
-        self.width = (self.nu + 1) * self.k + 1
-        n = np.arange(self.width)
-        p_rep = repetition_probability(config)
-        q_last = 1.0 / (self.nu + 1.0)
-        self.g_rep = np.vstack([stats.binom.pmf(n, c, p_rep) for c in n])
-        self.g_last = np.vstack([stats.binom.pmf(n, i, q_last) for i in n])
+        self.g_rep, self.g_last, self.h = _mixing_matrices(
+            self.width, repetition_probability(config), 1.0 / (self.nu + 1.0))
         self.kernel = self.p ** np.arange(self.k)
-        # shift[c, j] = x[c - j] for c >= j, 0 otherwise, built by gather
-        idx = np.subtract.outer(n, n)
-        self._mask = idx >= 0
-        self._idx = np.where(self._mask, idx, 0)
 
-    def _shifted(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, x[self._idx], 0.0)
+    def levels(self, p_s: np.ndarray, p_nc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Recursion rows for nodes with success probabilities p_s[n] and
+        repetition non-collision probabilities p_nc[n].
 
-    def run(self, p_s: float, p_nc: float) -> tuple[float, bool, np.ndarray]:
+        Returns rows[t, n, c], the failure probability after t attempts with c
+        interferers mid-repetition, for t = 0..nu+1, and a per-node flag
+        that is set when any probability had to be clamped into [0, 1].
+        """
         p = self.p
-        clamped = self.capped
+        p_s = p_s[:, None]
+        clamped = np.full(p_s.shape[0], self.capped)
         if self.nu == 0:
             geom = (1.0 - p ** self.k) / (1.0 - p)
             u = (1.0 - p_s) * geom
-            if u > 1.0 + _CLAMP_TOL:
-                clamped = True
-            v = p + (1.0 - p) * min(u, 1.0)
-            table = np.array([[1.0], [v]])
-            return v, clamped, table
+            clamped |= u[:, 0] > 1.0 + _CLAMP_TOL
+            v = p + (1.0 - p) * np.minimum(u, 1.0)
+            return np.stack([np.ones_like(v), v]), clamped
 
         width = self.width
-        yfac = 1.0 - p_nc ** np.arange(width)
-        v_prev = np.ones(width)
+        yfac = 1.0 - p_nc[:, None] ** np.arange(width)
+        # y_c = p_s * sum_j (g_rep diag(yfac) g_last)[c, j] * v[c - j]; p_nc
+        # does not change between levels, so the per-node matrix is built once
+        hy = _diagonal_index((self.g_rep * yfac[:, None, :]) @ self.g_last)
+        v_prev = np.ones((p_s.shape[0], width))
         rows = [v_prev]
         for _ in range(self.nu + 1):
-            padded = np.concatenate([v_prev, np.ones(self.k)])
-            z = np.zeros(width)
+            padded = np.concatenate([v_prev, np.ones((v_prev.shape[0], self.k))], axis=1)
+            z = np.zeros_like(v_prev)
             for k_i in range(self.k):
-                z += self.kernel[k_i] * padded[k_i + 1:k_i + 1 + width]
-            t_geom = self.g_last @ self._shifted(z).T
-            u = (1.0 - p_s) * np.einsum("ci,ic->c", self.g_rep, t_geom)
-            if p_s > 0.0:
-                t_rep = self.g_last @ self._shifted(v_prev).T
-                y = p_s * np.einsum("ci,ic->c", self.g_rep, yfac[:, None] * t_rep)
-            else:
-                y = np.zeros(width)
-            if np.any(u > 1.0 + _CLAMP_TOL) or np.any(y > 1.0 + _CLAMP_TOL):
-                clamped = True
+                z += self.kernel[k_i] * padded[:, k_i + 1:k_i + 1 + width]
+            u = (1.0 - p_s) * (self.h * z[:, None, :]).sum(axis=-1)
+            y = np.where(p_s > 0.0, p_s * (hy * v_prev[:, None, :]).sum(axis=-1), 0.0)
+            clamped |= np.any(u > 1.0 + _CLAMP_TOL, axis=1) \
+                | np.any(y > 1.0 + _CLAMP_TOL, axis=1)
             np.clip(u, 0.0, 1.0, out=u)
             np.clip(y, 0.0, 1.0, out=y)
             v = p * v_prev + (1.0 - p) * (u + y)
-            if np.any(v > 1.0 + _CLAMP_TOL):
-                clamped = True
+            clamped |= np.any(v > 1.0 + _CLAMP_TOL, axis=1)
             np.clip(v, 0.0, 1.0, out=v)
             rows.append(v)
             v_prev = v
-        return float(v_prev[0]), clamped, np.vstack(rows)
+        return np.stack(rows), clamped
+
+    def plr_r(self, p_s: np.ndarray, p_nc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Failure probability after all 1+nu attempts and the clamp flag,
+        per node, chunk by chunk."""
+        values, clamped = [], []
+        for lo in range(0, len(p_s), self.chunk):
+            rows, cl = self.levels(p_s[lo:lo + self.chunk], p_nc[lo:lo + self.chunk])
+            values.append(rows[-1, :, 0])
+            clamped.append(cl)
+        return np.concatenate(values), np.concatenate(clamped)
 
 
 def loss_recursion(r: float, config: ScenarioConfig, *,
@@ -282,9 +286,11 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
     if p_nc is None:
         p_nc = repetition_noncollision_prob(r, config)
     op = _RecursionOperator(config, truncation_k)
-    value, clamped, table = op.run(p_s, p_nc)
-    return RecursionTable(plr_r=value, p_s=p_s, p_nc=p_nc, truncation_k=op.k,
-                          c_max=op.c_max, clamped=clamped, values=table)
+    rows, clamped = op.levels(np.array([p_s], dtype=float), np.array([p_nc], dtype=float))
+    table = rows[:, 0, :]
+    return RecursionTable(plr_r=float(table[-1, 0]), p_s=p_s, p_nc=p_nc,
+                          truncation_k=op.k, c_max=op.c_max,
+                          clamped=bool(clamped[0]), values=table)
 
 
 @lru_cache(maxsize=8)
@@ -303,14 +309,11 @@ def _quadrature(config: ScenarioConfig, op: _RecursionOperator,
     nodes = ((np.arange(panels) + 0.5) * width)[:, None] + half * x
     _, p_s, p_nc = np.broadcast_arrays(nodes, success_prob(nodes, config),
                                        repetition_noncollision_prob(nodes, config))
+    values, clamped = op.plr_r(p_s.ravel(), p_nc.ravel())
     total = 0.0
-    clamped = False
-    for wj, ps, pnc in zip(np.tile(w, panels).tolist(), p_s.ravel().tolist(),
-                           p_nc.ravel().tolist()):
-        value, cl, _ = op.run(ps, pnc)
+    for wj, value in zip(np.tile(w, panels).tolist(), values.tolist()):
         total += wj * half * value
-        clamped = clamped or cl
-    return total / r_max, clamped
+    return total / r_max, bool(clamped.any())
 
 
 def plr(lambda_rate: float, config: ScenarioConfig, *,

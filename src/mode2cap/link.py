@@ -19,30 +19,6 @@ from .config import ScenarioConfig
 
 
 @dataclass(frozen=True)
-class ExclusionProfile:
-    """Exclusion radii for overlap widths m = 1..M at one TX-RX distance.
-
-    rho[m-1] is the radius for overlap m: 0.0 when reception survives an
-    arbitrarily close interferer, math.inf when no interferer distance
-    rescues reception under that overlap.
-    """
-
-    rho: tuple[float, ...]
-
-    def for_overlap(self, m: int) -> float:
-        return self.rho[m - 1]
-
-    @property
-    def max_finite(self) -> float:
-        finite = [r for r in self.rho if math.isfinite(r)]
-        return max(finite) if finite else 0.0
-
-    @property
-    def any_infinite(self) -> bool:
-        return any(math.isinf(r) for r in self.rho)
-
-
-@dataclass(frozen=True)
 class EesmOutcome:
     effective_sinr: float
     success: bool
@@ -101,12 +77,6 @@ def exclusion_radius(r: ArrayLike, m_overlap: ArrayLike,
         radius = np.power(bracket, -1.0 / config.pathloss_beta) / config.pathloss_a
     unbounded = (xi <= 0.0) | (bracket <= 0.0)
     return np.where(xi >= 1.0, 0.0, np.where(unbounded, math.inf, radius))[()]
-
-
-def exclusion_profile(r: float, config: ScenarioConfig) -> ExclusionProfile:
-    """Exclusion radii for every overlap width 1..M at distance r."""
-    overlaps = np.arange(1, config.packet_width_m + 1)
-    return ExclusionProfile(tuple(exclusion_radius(r, overlaps, config).tolist()))
 
 
 def effective_sinr(per_subchannel_sinr: ArrayLike, gamma: float) -> float | np.ndarray:

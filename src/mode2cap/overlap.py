@@ -2,7 +2,7 @@
 
 Both packets occupy M contiguous subchannels out of B, with the start index
 drawn uniformly.  The distribution of the overlap width m in [0, M] has a
-closed form; a brute-force pair enumeration serves as its oracle.
+closed form; the tests check it against a brute-force pair enumeration.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ def overlap_distribution(b: int, m_width: int) -> OverlapDistribution:
     Counted exactly in integers over the (b - m_width + 1)**2 equally likely
     start pairs, converted to float at the end.  The zero-overlap case applies
     for 2*m_width <= b; at 2*m_width == b it is the correct continuation of
-    the same expression (verified against the oracle).
+    the same expression (checked against a brute-force enumeration).
     """
     _check_args(b, m_width)
     m_w = m_width
@@ -49,15 +49,3 @@ def overlap_distribution(b: int, m_width: int) -> OverlapDistribution:
         counts.append(num)
     return OverlapDistribution(tuple(c / denom for c in counts))
 
-
-def overlap_distribution_oracle(b: int, m_width: int) -> OverlapDistribution:
-    """Brute-force oracle: enumerate all ordered start pairs and count overlaps."""
-    _check_args(b, m_width)
-    starts = range(b - m_width + 1)
-    counts = [0] * (m_width + 1)
-    for s1 in starts:
-        for s2 in starts:
-            ov = max(0, min(s1, s2) + m_width - max(s1, s2))
-            counts[ov] += 1
-    total = len(starts) ** 2
-    return OverlapDistribution(tuple(c / total for c in counts))

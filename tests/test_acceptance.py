@@ -18,21 +18,20 @@ from mode2cap import (
     SimConfig,
     capacity_sweep,
     eesm_receive,
-    exclusion_profile,
     exclusion_radius,
     loss_recursion,
     overlap_distribution,
-    overlap_distribution_oracle,
     plr,
     run,
     sinr_no_interference,
     sinr_one_interferer,
     success_prob,
-    success_prob_series,
     transmit_probability,
     truncation_depth,
     validate_config,
 )
+
+from oracles import exclusion_profile, overlap_distribution_oracle, success_prob_series
 
 PHI = 0.05
 SIGMA = 1e-13

@@ -13,13 +13,13 @@ from mode2cap import (
     plr,
     repetition_noncollision_prob,
     success_prob,
-    success_prob_series,
     transmit_probability,
     truncation_depth,
 )
-from mode2cap.analytic import _noncollision_from_profile
+from mode2cap.analytic import _RecursionOperator, _noncollision_from_profile
 
 from conftest import make_scenario
+from oracles import loss_recursion_per_node, success_prob_series
 
 
 class TestSuccessProb:
@@ -163,6 +163,73 @@ class TestLossRecursion:
         deeper = loss_recursion(100.0, scenario, truncation_k=2 * base.truncation_k)
         assert deeper.truncation_k == 2 * base.truncation_k
         assert abs(deeper.plr_r - base.plr_r) < scenario.plr_target / 10
+
+
+class TestBatchedRecursion:
+    """The loss recursion run on all nodes of a plr grid at once: node by node
+    it equals loss_recursion on that node alone and the per-node reference,
+    and splitting the grid into chunks does not change plr."""
+
+    @staticmethod
+    def _grid(cfg, panels=8, points=16):
+        x, _ = np.polynomial.legendre.leggauss(points)
+        width = cfg.range_r / panels
+        r = (((np.arange(panels) + 0.5) * width)[:, None] + 0.5 * width * x).ravel()
+        p_s = np.broadcast_to(success_prob(r, cfg), r.shape)
+        p_nc = np.broadcast_to(repetition_noncollision_prob(r, cfg), r.shape)
+        return r, p_s, p_nc
+
+    @pytest.mark.parametrize("kwargs, p_s_scale", [
+        (dict(repetitions_nu=0), 1.0),
+        (dict(repetitions_nu=2), 1.0),
+        (dict(repetitions_nu=8), 1.0),
+        # overload: with reception this poor some nodes clamp and some do not
+        (dict(repetitions_nu=2, lambda_rate=50.0), 0.25),
+        # beyond 250 m noise alone breaks reception, so p_s = 0 there
+        (dict(repetitions_nu=2, range_r=300.0), 1.0),
+    ], ids=["nu0", "nu2", "nu8", "overload", "zero_p_s"])
+    def test_grid_matches_single_node(self, kwargs, p_s_scale):
+        cfg = make_scenario(**kwargs)
+        r, p_s, p_nc = self._grid(cfg)
+        p_s = p_s * p_s_scale
+        values, clamped = _RecursionOperator(cfg).plr_r(p_s, p_nc)
+        single = [loss_recursion(ri, cfg, p_s=a, p_nc=b)
+                  for ri, a, b in zip(r.tolist(), p_s.tolist(), p_nc.tolist())]
+        np.testing.assert_array_max_ulp(values, [t.plr_r for t in single], maxulp=4)
+        assert clamped.tolist() == [t.clamped for t in single]
+        if "lambda_rate" in kwargs:
+            assert 0 < clamped.sum() < clamped.size
+        if "range_r" in kwargs:
+            assert np.any(p_s == 0.0) and np.any(p_s > 0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(repetitions_nu=0),
+        dict(repetitions_nu=2),
+        dict(repetitions_nu=8),
+        dict(num_subchannels_b=5, repetitions_nu=4, lambda_rate=2.0),
+        dict(repetitions_nu=2, range_r=300.0),
+    ], ids=["nu0", "nu2", "nu8", "b5nu4", "zero_p_s"])
+    def test_matches_per_node_reference(self, kwargs):
+        # each level sums up to width**2 positive products in another order
+        # than the reference; 1e-13 is about width * (nu + 1) ulp at nu = 8
+        cfg = make_scenario(**kwargs)
+        op = _RecursionOperator(cfg)
+        _, p_s, p_nc = self._grid(cfg)
+        rows, clamped = op.levels(p_s[::8], p_nc[::8])
+        for n, (a, b) in enumerate(zip(p_s[::8].tolist(), p_nc[::8].tolist())):
+            want, want_clamped = loss_recursion_per_node(a, b, cfg, op.k)
+            np.testing.assert_allclose(rows[:, n, :], want, rtol=1e-13, atol=0.0)
+            assert clamped[n] == want_clamped
+
+    def test_chunked_grid_equals_one_chunk(self, scenario, monkeypatch):
+        # K = 45 at nu = 2 makes the state 136 wide: 56 nodes per chunk, so
+        # the 64- and 128-node grids run in 2 and 3 chunks
+        k = 45
+        assert _RecursionOperator(scenario, truncation_k=k).chunk < 64
+        chunked = plr(10.0, scenario, truncation_k=k)
+        monkeypatch.setattr(_RecursionOperator, "_BATCH_ELEMENTS", 2 ** 40)
+        assert _RecursionOperator(scenario, truncation_k=k).chunk > 128
+        assert plr(10.0, scenario, truncation_k=k) == chunked
 
 
 class TestPlr:

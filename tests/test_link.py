@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from mode2cap import (
     eesm_receive,
     effective_sinr,
-    exclusion_profile,
     exclusion_radius,
     pathloss,
     sinr_no_interference,
@@ -16,6 +15,7 @@ from mode2cap import (
 )
 
 from conftest import make_scenario
+from oracles import exclusion_profile
 
 
 class TestPathloss:

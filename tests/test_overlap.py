@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mode2cap import overlap_distribution, overlap_distribution_oracle
+from mode2cap import overlap_distribution
+
+from oracles import overlap_distribution_oracle
 
 
 def test_single_placement_always_full_overlap():
