@@ -22,6 +22,7 @@ from .link import (
     effective_sinr,
     exclusion_radius,
     pathloss,
+    pathloss_distance,
     sinr_no_interference,
     sinr_one_interferer,
 )

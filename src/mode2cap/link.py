@@ -35,6 +35,14 @@ def pathloss(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     return np.power(config.pathloss_a * r, -config.pathloss_beta)
 
 
+def pathloss_distance(gain: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
+    """Inverse of `pathloss`: the distance at which the linear gain is `gain`.
+
+    gain**(-1/beta) / A; a gain <= 0 gives inf or nan, without a check.
+    """
+    return np.power(gain, -1.0 / config.pathloss_beta) / config.pathloss_a
+
+
 def sinr_no_interference(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     """Per-subchannel SINR of a packet received over noise only.
 
@@ -74,7 +82,7 @@ def exclusion_radius(r: ArrayLike, m_overlap: ArrayLike,
     with np.errstate(divide="ignore", invalid="ignore"):
         bracket = -pathloss(r, config) / (gamma * np.log(xi)) \
             - config.noise_sigma * m_w / config.tx_power_s
-        radius = np.power(bracket, -1.0 / config.pathloss_beta) / config.pathloss_a
+        radius = pathloss_distance(bracket, config)
     unbounded = (xi <= 0.0) | (bracket <= 0.0)
     return np.where(xi >= 1.0, 0.0, np.where(unbounded, math.inf, radius))[()]
 

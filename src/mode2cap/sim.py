@@ -4,8 +4,9 @@ Replays the protocol literally on a finite line of UEs: exponential inter-UE
 gaps, arrivals after the previous delivery, a first attempt in the next slot
 plus nu repetition slots drawn from the window, uniform contiguous subchannel
 picks per attempt, EESM threshold reception with summed interference, and
-half-duplex receivers.  Serves as the independent oracle for the analytic
-chain at loss levels reachable by counting.
+half-duplex receivers.  Each replication draws its whole transmission
+schedule first, then receives one slot at a time.  Serves as the independent
+oracle for the analytic chain at loss levels reachable by counting.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, TextIO
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, pool_map, validate_config
-from .link import effective_sinr, pathloss
+from .link import effective_sinr, pathloss, pathloss_distance
 
 LOSS_HALF_DUPLEX = "half_duplex"
 LOSS_INTERFERENCE = "interference"
@@ -52,8 +53,7 @@ class SimConfig:
     def resolved_cutoff(self) -> float:
         if self.interference_cutoff is None:
             sc = self.scenario
-            return (100.0 * sc.tx_power_s / sc.noise_sigma) ** (1.0 / sc.pathloss_beta) \
-                / sc.pathloss_a
+            return float(pathloss_distance(sc.noise_sigma / (100.0 * sc.tx_power_s), sc))
         return self.interference_cutoff
 
 
@@ -111,31 +111,10 @@ class _RepResult:
     int_losses: int = 0
     tx_slot_count: int = 0
     eligible_ues: int = 0
-    packets_measured: int = 0
 
     @property
     def plr(self) -> float:
         return self.losses / self.pairs if self.pairs else math.nan
-
-
-class _Packet:
-    __slots__ = ("pid", "tx", "slots", "subs", "rx_ids", "received", "hd_count",
-                 "measured", "last_slot")
-
-    def __init__(self, pid, tx, slots, subs, rx_ids, measured, horizon):
-        self.pid = pid
-        self.tx = tx
-        self.slots = slots
-        self.subs = subs
-        self.rx_ids = rx_ids
-        self.measured = measured and slots[-1] < horizon
-        self.last_slot = slots[-1]
-        if self.measured:
-            self.received = np.zeros(len(rx_ids), dtype=bool)
-            self.hd_count = np.zeros(len(rx_ids), dtype=np.int32)
-        else:
-            self.received = None
-            self.hd_count = None
 
 
 def validate_sim_config(sim_config: SimConfig) -> SimConfig:
@@ -175,145 +154,136 @@ def build_topology(sim_config: SimConfig, rng: np.random.Generator) -> np.ndarra
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
+def _schedule(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every packet's transmitter, attempt slots and subchannel starts, as
+    arrays of shape (P,), (P, nu+1) and (P, nu+1) in packet order.
+
+    Reception never feeds back into resource selection, so the schedule is
+    drawn before anything is received.  A UE's next packet arrives an
+    exponential time after the slot of its previous packet's last attempt
+    (its first, after time 0) and goes out first in the next slot.  Events
+    pop by slot: its arrivals in time order, then the packets that end in
+    it in packet order, the order in which a slot-by-slot replay draws.
+    """
+    tau, nu, mean_gap = sc.slot_tau, sc.repetitions_nu, 1.0 / sc.lambda_rate
+    # (slot, phase, key, ue): phase 0 is an arrival at time key, phase 1 the
+    # end of packet key
+    events = [(math.floor(t / tau) + 1, 0, t, ue)
+              for ue, t in enumerate(rng.exponential(mean_gap, size=n))]
+    heapq.heapify(events)
+    tx, slots, subs = [], [], []
+    while events and events[0][0] < horizon:
+        slot, phase, key, ue = heapq.heappop(events)
+        if phase == 0:
+            row = [slot]
+            if nu > 0:
+                offsets = np.sort(rng.choice(sc.window_w - 1, size=nu, replace=False) + 1)
+                row += [slot + int(o) for o in offsets]
+            if row[-1] < horizon:
+                heapq.heappush(events, (row[-1], 1, len(tx), ue))
+            tx.append(ue)
+            slots.append(row)
+            subs.append(rng.integers(0, sc.num_subchannels_b - sc.packet_width_m + 1,
+                                     size=nu + 1))
+        else:
+            t = (slot + 1) * tau + rng.exponential(mean_gap)
+            heapq.heappush(events, (math.floor(t / tau) + 1, 0, t, ue))
+    return (np.array(tx, dtype=np.intp), np.array(slots, dtype=np.int64).reshape(-1, nu + 1),
+            np.array(subs, dtype=np.int64).reshape(-1, nu + 1))
+
+
 def _simulate_replication(sim_config: SimConfig, replication: int,
                           recorder: Callable[[AttemptRecord], None] | None = None,
-                          packet_filter: Callable[[int, int, int], bool] | None = None,
                           ) -> _RepResult:
     sc = sim_config.scenario
     rng = replication_rng(sim_config.seed, replication)
     pos = build_topology(sim_config, rng)
-    n = sim_config.num_ues
-    horizon = sim_config.num_slots
-    tau = sc.slot_tau
-    w = sc.window_w
-    nu = sc.repetitions_nu
-    b_total = sc.num_subchannels_b
-    m_w = sc.packet_width_m
+    horizon, nu, m_w = sim_config.num_slots, sc.repetitions_nu, sc.packet_width_m
     sig_power = sc.tx_power_s / m_w
-    noise = sc.noise_sigma
     cutoff = sim_config.resolved_cutoff()
     margin = sim_config.resolved_edge_margin()
 
-    line_end = pos[-1]
-    eligible = (pos >= margin) & (pos <= line_end - margin)
+    eligible = (pos >= margin) & (pos <= pos[-1] - margin)
     # receivers measured for a transmitter: eligible UEs within range_r
-    rx_lists: list[np.ndarray] = []
-    for i in range(n):
-        lo = np.searchsorted(pos, pos[i] - sc.range_r, side="left")
-        hi = np.searchsorted(pos, pos[i] + sc.range_r, side="right")
-        ids = np.arange(lo, hi)
-        ids = ids[(ids != i) & eligible[ids]]
-        rx_lists.append(ids)
+    lo = np.searchsorted(pos, pos - sc.range_r, side="left")
+    hi = np.searchsorted(pos, pos + sc.range_r, side="right")
+    rx_lists = [ids[(ids != i) & eligible[ids]]
+                for i, ids in enumerate(map(np.arange, lo, hi))]
 
-    result = _RepResult(eligible_ues=int(eligible.sum()))
+    tx, slots, subs = _schedule(sc, rng, pos.size, horizon)
 
-    arrivals: list[tuple[float, int]] = [
-        (t, ue) for ue, t in enumerate(rng.exponential(1.0 / sc.lambda_rate, size=n))
-    ]
-    heapq.heapify(arrivals)
-    slot_map: dict[int, list[tuple[_Packet, int]]] = {}
-    end_map: dict[int, list[_Packet]] = {}
-    next_pid = 0
+    # a packet is measured if its sender is eligible and its last attempt
+    # falls inside the horizon; its (packet, receiver) pairs are stored flat,
+    # packet after packet, from pair_start[packet] on
+    measured = eligible[tx] & (slots[:, -1] < horizon)
+    pair_count = np.where(measured, np.array([len(ids) for ids in rx_lists])[tx], 0)
+    pair_start = np.cumsum(pair_count) - pair_count
+    pair_rx = np.concatenate([rx_lists[ue] for ue in tx[measured]] or
+                             [np.empty(0, dtype=np.intp)])
+    received = np.zeros(pair_rx.size, dtype=bool)
+    hd_count = np.zeros(pair_rx.size, dtype=np.int32)
 
-    def schedule(ue: int, arrival_time: float) -> None:
-        nonlocal next_pid
-        first = int(math.floor(arrival_time / tau)) + 1
-        if nu > 0:
-            offsets = np.sort(rng.choice(w - 1, size=nu, replace=False) + 1)
-            slots = [first] + [first + int(o) for o in offsets]
-        else:
-            slots = [first]
-        subs = rng.integers(0, b_total - m_w + 1, size=nu + 1)
-        measured = bool(eligible[ue])
-        if measured and packet_filter is not None:
-            measured = bool(packet_filter(replication, next_pid, ue))
-        pkt = _Packet(next_pid, ue, slots, subs, rx_lists[ue], measured, horizon)
-        if pkt.measured and len(pkt.rx_ids) == 0:
-            pkt.measured = False
-        next_pid += 1
-        for ai, s in enumerate(slots):
-            if s < horizon:
-                slot_map.setdefault(s, []).append((pkt, ai))
-        end_map.setdefault(min(pkt.last_slot, horizon - 1), []).append(pkt)
+    # attempts inside the horizon, by slot and, within a slot, by packet
+    flat = slots.ravel()
+    order = np.argsort(flat, kind="stable")
+    order = order[flat[order] < horizon]
+    att_slot, att_pkt, att_ai = flat[order], *np.divmod(order, nu + 1)
+    bounds = np.flatnonzero(np.diff(att_slot)) + 1
+    transmitting = np.zeros(pos.size, dtype=bool)
+    span = np.arange(m_w)
 
-    for slot in range(horizon):
-        slot_time = slot * tau
-        while arrivals and arrivals[0][0] < slot_time:
-            t_arr, ue = heapq.heappop(arrivals)
-            schedule(ue, t_arr)
+    for a, b in zip(np.r_[0, bounds], np.r_[bounds, att_slot.size]):
+        pkt = att_pkt[a:b]
+        lengths = pair_count[pkt]
+        if not lengths.any():
+            continue
+        slot = int(att_slot[a])
+        tx_ues = tx[pkt]
+        tx_sub = subs[pkt, att_ai[a:b]]
+        # the slot's pairs, attempt by attempt: column k of the attempt and
+        # index into the flat pair arrays
+        k = np.repeat(np.arange(b - a), lengths)
+        pair = pair_start[pkt][k] + np.arange(k.size) - (np.cumsum(lengths) - lengths)[k]
+        rx = pair_rx[pair]
+        transmitting[tx_ues] = True
+        busy = transmitting[rx]
+        transmitting[tx_ues] = False
+        hd_count[pair[busy]] += 1
+        free = ~busy
+        success = np.zeros(k.size, dtype=bool)
+        if free.any():
+            involved, rows = np.unique(rx[free], return_inverse=True)
+            kf = k[free]
+            dist = np.abs(pos[involved][:, None] - pos[tx_ues][None, :])
+            gain = sig_power * pathloss(dist, sc)
+            power = np.where(dist <= cutoff, gain, 0.0)
+            total = np.zeros((involved.size, sc.num_subchannels_b))
+            for col, st in enumerate(tx_sub):
+                total[:, st:st + m_w] += power[:, col:col + 1]
+            interference = total[rows[:, None], tx_sub[kf][:, None] + span] \
+                - power[rows, kf][:, None]
+            # the wanted signal ignores the interference cutoff
+            sinr = gain[rows, kf][:, None] / (sc.noise_sigma + interference)
+            success[free] = effective_sinr(sinr, sc.eesm_gamma) > sc.sinr_threshold_t
+            received[pair[success]] = True
+        if recorder is not None:
+            # the slot's half-duplex blocks first, then its receptions
+            fields = zip(*(c.tolist() for c in (pkt[k], att_ai[a:b][k], tx_sub[k], rx,
+                                                tx_ues[k], busy, success)))
+            for pid, ai, sub, rx_id, ue, hd, ok in sorted(fields, key=lambda f: not f[5]):
+                outcome, cause = (("fail", LOSS_HALF_DUPLEX) if hd else ("success", "") if ok
+                                  else ("fail", LOSS_INTERFERENCE))
+                recorder(AttemptRecord(replication, pid, ai, slot, sub, rx_id, outcome,
+                                       cause, ue))
 
-        attempts = slot_map.pop(slot, None)
-        if attempts:
-            tx_ues = np.array([pkt.tx for pkt, _ in attempts])
-            result.tx_slot_count += int(eligible[tx_ues].sum())
-            tx_pos = pos[tx_ues]
-            tx_sub = np.array([pkt.subs[ai] for pkt, ai in attempts])
-
-            measured_idx = [k for k, (pkt, _) in enumerate(attempts) if pkt.measured]
-            if measured_idx:
-                nb_sets = []
-                for k in measured_idx:
-                    pkt, ai = attempts[k]
-                    busy = np.isin(pkt.rx_ids, tx_ues)
-                    if pkt.hd_count is not None and busy.any():
-                        pkt.hd_count[busy] += 1
-                        if recorder is not None:
-                            for rx in pkt.rx_ids[busy]:
-                                recorder(AttemptRecord(
-                                    replication, pkt.pid, ai, slot,
-                                    int(pkt.subs[ai]), int(rx), "fail",
-                                    LOSS_HALF_DUPLEX, pkt.tx))
-                    nb_sets.append((k, ~busy))
-                involved = np.unique(np.concatenate(
-                    [attempts[k][0].rx_ids[nb] for k, nb in nb_sets if nb.any()]
-                    or [np.empty(0, dtype=int)]))
-                if involved.size:
-                    dist = np.abs(pos[involved][:, None] - tx_pos[None, :])
-                    received = sig_power * pathloss(dist, sc)
-                    power = np.where(dist <= cutoff, received, 0.0)
-                    total = np.zeros((involved.size, b_total))
-                    for t_idx in range(len(attempts)):
-                        st = tx_sub[t_idx]
-                        total[:, st:st + m_w] += power[:, t_idx:t_idx + 1]
-                    for k, nb in nb_sets:
-                        if not nb.any():
-                            continue
-                        pkt, ai = attempts[k]
-                        rxs = pkt.rx_ids[nb]
-                        rows = np.searchsorted(involved, rxs)
-                        st = tx_sub[k]
-                        own = power[rows, k]
-                        interference = total[rows, st:st + m_w] - own[:, None]
-                        # the wanted signal ignores the interference cutoff
-                        sinr = received[rows, k][:, None] / (noise + interference)
-                        success = effective_sinr(sinr, sc.eesm_gamma) > sc.sinr_threshold_t
-                        pkt.received[nb] |= success
-                        if recorder is not None:
-                            for rx, ok in zip(rxs, success):
-                                recorder(AttemptRecord(
-                                    replication, pkt.pid, ai, slot,
-                                    int(pkt.subs[ai]), int(rx),
-                                    "success" if ok else "fail",
-                                    "" if ok else LOSS_INTERFERENCE, pkt.tx))
-
-        finished = end_map.pop(slot, None)
-        if finished:
-            for pkt in finished:
-                if pkt.measured:
-                    result.packets_measured += 1
-                    result.pairs += len(pkt.rx_ids)
-                    lost = ~pkt.received
-                    n_lost = int(lost.sum())
-                    result.losses += n_lost
-                    if n_lost:
-                        pure_hd = lost & (pkt.hd_count == nu + 1)
-                        result.hd_losses += int(pure_hd.sum())
-                        result.int_losses += n_lost - int(pure_hd.sum())
-                if pkt.last_slot < horizon:
-                    t_next = (pkt.last_slot + 1) * tau \
-                        + rng.exponential(1.0 / sc.lambda_rate)
-                    heapq.heappush(arrivals, (t_next, pkt.tx))
-    return result
+    lost = ~received
+    hd_losses = int((lost & (hd_count == nu + 1)).sum())
+    losses = int(lost.sum())
+    return _RepResult(pairs=int(pair_rx.size), losses=losses, hd_losses=hd_losses,
+                      int_losses=losses - hd_losses,
+                      tx_slot_count=int(eligible[tx[att_pkt]].sum()),
+                      eligible_ues=int(eligible.sum()))
 
 
 def _run_replication_payload(payload: tuple[SimConfig, int]) -> _RepResult:
@@ -360,17 +330,11 @@ def trace_to_csv(records: Iterable[AttemptRecord], stream: TextIO) -> None:
         writer.writerow([getattr(rec, column) for column in TRACE_COLUMNS])
 
 
-def attempt_trace(sim_config: SimConfig,
-                  packet_filter: Callable[[int, int, int], bool] | None = None,
-                  ) -> list[AttemptRecord]:
-    """Per-attempt, per-receiver event log over all replications.
-
-    packet_filter(replication, packet_id, tx_ue) restricts which packets are
-    measured and therefore traced; None traces every measured packet.
-    """
+def attempt_trace(sim_config: SimConfig) -> list[AttemptRecord]:
+    """Per-attempt, per-receiver event log of every measured packet, over all
+    replications."""
     cfg = validate_sim_config(sim_config)
     records: list[AttemptRecord] = []
     for rep in range(cfg.replications):
-        _simulate_replication(cfg, rep, recorder=records.append,
-                              packet_filter=packet_filter)
+        _simulate_replication(cfg, rep, recorder=records.append)
     return records

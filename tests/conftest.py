@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread per process: the pool workers of the slow tests would
+# otherwise each start one per core; set before anything imports numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from mode2cap import ScenarioConfig, validate_config

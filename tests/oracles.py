@@ -2,12 +2,15 @@
 
 Each one reaches a quantity of the package by a different route than the
 package does: brute-force enumeration, a series before its closed form, a
-per-distance profile record, or the loss recursion one distance at a time.
+per-distance profile record, the loss recursion one distance at a time, or
+the simulator as one slot-by-slot event loop.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import stats
@@ -19,6 +22,16 @@ from mode2cap import (
     overlap_distribution,
     repetition_probability,
     transmit_probability,
+)
+from mode2cap.link import effective_sinr, pathloss
+from mode2cap.sim import (
+    LOSS_HALF_DUPLEX,
+    LOSS_INTERFERENCE,
+    AttemptRecord,
+    SimConfig,
+    _RepResult,
+    build_topology,
+    replication_rng,
 )
 
 
@@ -140,3 +153,164 @@ def loss_recursion_per_node(p_s: float, p_nc: float, config: ScenarioConfig,
         v_prev = np.clip(v, 0.0, 1.0)
         rows.append(v_prev)
     return np.vstack(rows), clamped
+
+
+class _Packet:
+    __slots__ = ("pid", "tx", "slots", "subs", "rx_ids", "received", "hd_count",
+                 "measured", "last_slot")
+
+    def __init__(self, pid, tx, slots, subs, rx_ids, measured, horizon):
+        self.pid = pid
+        self.tx = tx
+        self.slots = slots
+        self.subs = subs
+        self.rx_ids = rx_ids
+        self.measured = measured and slots[-1] < horizon
+        self.last_slot = slots[-1]
+        if self.measured:
+            self.received = np.zeros(len(rx_ids), dtype=bool)
+            self.hd_count = np.zeros(len(rx_ids), dtype=np.int32)
+        else:
+            self.received = None
+            self.hd_count = None
+
+
+def simulate_replication_reference(sim_config: SimConfig, replication: int,
+                                   recorder: Callable[[AttemptRecord], None] | None = None,
+                                   ) -> _RepResult:
+    """The simulator as one event loop that schedules and receives slot by
+    slot, with a mutable record per packet.  The package draws the whole
+    schedule first and then receives slot by slot; both must give the same
+    results and records, in the same order.
+    """
+    sc = sim_config.scenario
+    rng = replication_rng(sim_config.seed, replication)
+    pos = build_topology(sim_config, rng)
+    n = sim_config.num_ues
+    horizon = sim_config.num_slots
+    tau = sc.slot_tau
+    w = sc.window_w
+    nu = sc.repetitions_nu
+    b_total = sc.num_subchannels_b
+    m_w = sc.packet_width_m
+    sig_power = sc.tx_power_s / m_w
+    noise = sc.noise_sigma
+    cutoff = sim_config.resolved_cutoff()
+    margin = sim_config.resolved_edge_margin()
+
+    line_end = pos[-1]
+    eligible = (pos >= margin) & (pos <= line_end - margin)
+    # receivers measured for a transmitter: eligible UEs within range_r
+    rx_lists: list[np.ndarray] = []
+    for i in range(n):
+        lo = np.searchsorted(pos, pos[i] - sc.range_r, side="left")
+        hi = np.searchsorted(pos, pos[i] + sc.range_r, side="right")
+        ids = np.arange(lo, hi)
+        ids = ids[(ids != i) & eligible[ids]]
+        rx_lists.append(ids)
+
+    result = _RepResult(eligible_ues=int(eligible.sum()))
+
+    arrivals: list[tuple[float, int]] = [
+        (t, ue) for ue, t in enumerate(rng.exponential(1.0 / sc.lambda_rate, size=n))
+    ]
+    heapq.heapify(arrivals)
+    slot_map: dict[int, list[tuple[_Packet, int]]] = {}
+    end_map: dict[int, list[_Packet]] = {}
+    next_pid = 0
+
+    def schedule(ue: int, arrival_time: float) -> None:
+        nonlocal next_pid
+        first = int(math.floor(arrival_time / tau)) + 1
+        if nu > 0:
+            offsets = np.sort(rng.choice(w - 1, size=nu, replace=False) + 1)
+            slots = [first] + [first + int(o) for o in offsets]
+        else:
+            slots = [first]
+        subs = rng.integers(0, b_total - m_w + 1, size=nu + 1)
+        pkt = _Packet(next_pid, ue, slots, subs, rx_lists[ue], bool(eligible[ue]), horizon)
+        if pkt.measured and len(pkt.rx_ids) == 0:
+            pkt.measured = False
+        next_pid += 1
+        for ai, s in enumerate(slots):
+            if s < horizon:
+                slot_map.setdefault(s, []).append((pkt, ai))
+        end_map.setdefault(min(pkt.last_slot, horizon - 1), []).append(pkt)
+
+    for slot in range(horizon):
+        slot_time = slot * tau
+        while arrivals and arrivals[0][0] < slot_time:
+            t_arr, ue = heapq.heappop(arrivals)
+            schedule(ue, t_arr)
+
+        attempts = slot_map.pop(slot, None)
+        if attempts:
+            tx_ues = np.array([pkt.tx for pkt, _ in attempts])
+            result.tx_slot_count += int(eligible[tx_ues].sum())
+            tx_pos = pos[tx_ues]
+            tx_sub = np.array([pkt.subs[ai] for pkt, ai in attempts])
+
+            measured_idx = [k for k, (pkt, _) in enumerate(attempts) if pkt.measured]
+            if measured_idx:
+                nb_sets = []
+                for k in measured_idx:
+                    pkt, ai = attempts[k]
+                    busy = np.isin(pkt.rx_ids, tx_ues)
+                    if pkt.hd_count is not None and busy.any():
+                        pkt.hd_count[busy] += 1
+                        if recorder is not None:
+                            for rx in pkt.rx_ids[busy]:
+                                recorder(AttemptRecord(
+                                    replication, pkt.pid, ai, slot,
+                                    int(pkt.subs[ai]), int(rx), "fail",
+                                    LOSS_HALF_DUPLEX, pkt.tx))
+                    nb_sets.append((k, ~busy))
+                involved = np.unique(np.concatenate(
+                    [attempts[k][0].rx_ids[nb] for k, nb in nb_sets if nb.any()]
+                    or [np.empty(0, dtype=int)]))
+                if involved.size:
+                    dist = np.abs(pos[involved][:, None] - tx_pos[None, :])
+                    received = sig_power * pathloss(dist, sc)
+                    power = np.where(dist <= cutoff, received, 0.0)
+                    total = np.zeros((involved.size, b_total))
+                    for t_idx in range(len(attempts)):
+                        st = tx_sub[t_idx]
+                        total[:, st:st + m_w] += power[:, t_idx:t_idx + 1]
+                    for k, nb in nb_sets:
+                        if not nb.any():
+                            continue
+                        pkt, ai = attempts[k]
+                        rxs = pkt.rx_ids[nb]
+                        rows = np.searchsorted(involved, rxs)
+                        st = tx_sub[k]
+                        own = power[rows, k]
+                        interference = total[rows, st:st + m_w] - own[:, None]
+                        # the wanted signal ignores the interference cutoff
+                        sinr = received[rows, k][:, None] / (noise + interference)
+                        success = effective_sinr(sinr, sc.eesm_gamma) > sc.sinr_threshold_t
+                        pkt.received[nb] |= success
+                        if recorder is not None:
+                            for rx, ok in zip(rxs, success):
+                                recorder(AttemptRecord(
+                                    replication, pkt.pid, ai, slot,
+                                    int(pkt.subs[ai]), int(rx),
+                                    "success" if ok else "fail",
+                                    "" if ok else LOSS_INTERFERENCE, pkt.tx))
+
+        finished = end_map.pop(slot, None)
+        if finished:
+            for pkt in finished:
+                if pkt.measured:
+                    result.pairs += len(pkt.rx_ids)
+                    lost = ~pkt.received
+                    n_lost = int(lost.sum())
+                    result.losses += n_lost
+                    if n_lost:
+                        pure_hd = lost & (pkt.hd_count == nu + 1)
+                        result.hd_losses += int(pure_hd.sum())
+                        result.int_losses += n_lost - int(pure_hd.sum())
+                if pkt.last_slot < horizon:
+                    t_next = (pkt.last_slot + 1) * tau \
+                        + rng.exponential(1.0 / sc.lambda_rate)
+                    heapq.heappush(arrivals, (t_next, pkt.tx))
+    return result

@@ -10,6 +10,7 @@ from mode2cap import (
     effective_sinr,
     exclusion_radius,
     pathloss,
+    pathloss_distance,
     sinr_no_interference,
     sinr_one_interferer,
 )
@@ -34,6 +35,14 @@ class TestPathloss:
     def test_nonpositive_distance(self, scenario, r):
         with pytest.raises(ValueError):
             pathloss(r, scenario)
+
+    def test_distance_inverts_gain(self, scenario):
+        r = np.array([0.5, 1.0 / scenario.pathloss_a, 80.0, 200.0, 1623.0])
+        assert np.allclose(pathloss_distance(pathloss(r, scenario), scenario), r,
+                           rtol=1e-14, atol=0.0)
+        # a scalar call equals the matching element of an array call
+        assert pathloss_distance(pathloss(80.0, scenario), scenario) \
+            == pathloss_distance(pathloss(r, scenario), scenario)[2]
 
 
 class TestSinr:

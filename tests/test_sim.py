@@ -19,6 +19,7 @@ from mode2cap import (
 from mode2cap.sim import _simulate_replication
 
 from conftest import make_scenario
+from oracles import simulate_replication_reference
 
 
 def small_sim(**kw):
@@ -175,6 +176,29 @@ class TestHalfDuplex:
         assert mutual > 0
 
 
+class TestAgainstReference:
+    @pytest.mark.parametrize("scenario_kw, sim_kw", [
+        (dict(repetitions_nu=0, lambda_rate=20.0), {}),
+        (dict(repetitions_nu=1, lambda_rate=30.0), {}),
+        (dict(repetitions_nu=2, lambda_rate=30.0), {}),
+        (dict(repetitions_nu=8, lambda_rate=10.0), {}),
+        (dict(repetitions_nu=2, lambda_rate=30.0), dict(interference_cutoff=0.0)),
+        (dict(repetitions_nu=1, lambda_rate=100.0), {}),
+        (dict(repetitions_nu=2, lambda_rate=20.0, num_subchannels_b=3), {}),
+    ], ids=["nu0", "nu1", "nu2", "nu8", "cutoff0", "half_duplex_heavy", "b_equals_m"])
+    def test_matches_event_loop(self, scenario_kw, sim_kw):
+        # the schedule-first simulator against the slot-by-slot event loop:
+        # equal tallies and equal records, in the same order
+        cfg = validate_sim_config(small_sim(scenario_kw=scenario_kw, num_ues=120,
+                                            num_slots=1500, **sim_kw))
+        for rep in range(cfg.replications):
+            got, want = [], []
+            result = _simulate_replication(cfg, rep, recorder=got.append)
+            assert result == simulate_replication_reference(cfg, rep, recorder=want.append)
+            assert result.pairs > 0 and got
+            assert got == want
+
+
 class TestAgainstClosedForms:
     def test_empirical_transmit_frequency(self):
         # low load so the analytic cycle-length approximation is tight
@@ -223,10 +247,6 @@ class TestAgainstClosedForms:
 
 
 class TestTrace:
-    def test_filter_matching_nothing_gives_empty_log(self):
-        cfg = small_sim(num_slots=2000)
-        assert attempt_trace(cfg, packet_filter=lambda rep, pid, tx: False) == []
-
     def test_csv_layout(self):
         import io
 
