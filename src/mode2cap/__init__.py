@@ -17,14 +17,11 @@ from .config import (
 )
 from .overlap import OverlapDistribution, overlap_distribution
 from .link import (
-    EesmOutcome,
-    eesm_receive,
     effective_sinr,
     exclusion_radius,
     pathloss,
     pathloss_distance,
     sinr_no_interference,
-    sinr_one_interferer,
 )
 from .analytic import (
     CapacityResult,

@@ -293,134 +293,103 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
                           clamped=bool(clamped[0]), values=table)
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(points)
-    return x, w
+# plr's quadrature: composite Gauss-Legendre with POINTS nodes per panel, on
+# PANELS and then 2 * PANELS panels of (0, R]
+PANELS = 4
+POINTS = 16
 
+# capacity's search: decades up from LAMBDA_LO, capped at LAMBDA_CAP, then
+# bisection on log(lambda) down to a bracket ratio of 1 + REL_TOL
+LAMBDA_LO = 1e-4
+LAMBDA_CAP = 1e6
+REL_TOL = 1e-3
 
-def _quadrature(config: ScenarioConfig, op: _RecursionOperator,
-                panels: int, points: int) -> tuple[float, bool]:
-    x, w = _gauss_nodes(points)
-    r_max = config.range_r
-    width = r_max / panels
-    half = 0.5 * width
-    # nodes[i, j] = mid_i + half * x_j, summed panel by panel as a double loop would
-    nodes = ((np.arange(panels) + 0.5) * width)[:, None] + half * x
-    _, p_s, p_nc = np.broadcast_arrays(nodes, success_prob(nodes, config),
-                                       repetition_noncollision_prob(nodes, config))
-    values, clamped = op.plr_r(p_s.ravel(), p_nc.ravel())
-    total = 0.0
-    for wj, value in zip(np.tile(w, panels).tolist(), values.tolist()):
-        total += wj * half * value
-    return total / r_max, bool(clamped.any())
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(POINTS)
 
 
 def plr(lambda_rate: float, config: ScenarioConfig, *,
-        truncation_k: int | None = None, panels: int = 4,
-        points: int = 16) -> PlrCurvePoint:
+        truncation_k: int | None = None) -> PlrCurvePoint:
     """Packet loss rate at the given load, integrated uniformly over distance.
 
-    Composite Gauss-Legendre quadrature with `points` nodes on each of
-    `panels` panels of (0, R]; the reported value uses doubled panels and the
-    error estimate is the difference between the two refinements.
+    Composite Gauss-Legendre quadrature on PANELS and on 2 * PANELS panels
+    of (0, R], with the recursion run on the nodes of both grids at once;
+    the reported value is the finer estimate and the error estimate is the
+    difference between the two.
     """
     cfg = config.with_lambda(lambda_rate)
-    op = _RecursionOperator(cfg, truncation_k)
-    coarse, cl_coarse = _quadrature(cfg, op, panels, points)
-    fine, cl_fine = _quadrature(cfg, op, 2 * panels, points)
+    r_max = cfg.range_r
+    panel_counts = (PANELS, 2 * PANELS)
+    widths = [r_max / panels for panels in panel_counts]
+    # nodes[i, j] = mid_i + half * x_j, grid by grid, summed panel by panel
+    # as a double loop would
+    nodes = np.concatenate([(((np.arange(panels) + 0.5) * width)[:, None]
+                             + 0.5 * width * _GAUSS_X).ravel()
+                            for panels, width in zip(panel_counts, widths)])
+    _, p_s, p_nc = np.broadcast_arrays(nodes, success_prob(nodes, cfg),
+                                       repetition_noncollision_prob(nodes, cfg))
+    values, clamped = _RecursionOperator(cfg, truncation_k).plr_r(p_s, p_nc)
+    estimates = []
+    for panels, width, grid in zip(panel_counts, widths,
+                                   np.split(values, [PANELS * POINTS])):
+        half = 0.5 * width
+        total = 0.0
+        for wj, value in zip(np.tile(_GAUSS_W, panels).tolist(), grid.tolist()):
+            total += wj * half * value
+        estimates.append(total / r_max)
+    coarse, fine = estimates
     return PlrCurvePoint(
         lambda_rate=lambda_rate,
         plr=float(fine),
         error_estimate=float(abs(fine - coarse)),
-        validity_warning=cl_coarse or cl_fine,
+        validity_warning=bool(clamped.any()),
     )
 
 
-def capacity(config: ScenarioConfig, *, lambda_lo: float = 1e-4,
-             lambda_cap: float = 1e6, rel_tol: float = 1e-3,
-             max_iter: int = 60, monotonicity_points: int = 8) -> CapacityResult:
+def capacity(config: ScenarioConfig) -> CapacityResult:
     """Largest load whose loss rate stays within the QoS bound.
 
-    Bisection on log(lambda) between a feasible lower bound and an infeasible
-    upper bound found by decade expansion.  Loads that break the model
-    (p >= 1) count as infeasible.  PLR monotonicity in lambda is sampled on a
-    log grid and flagged, not assumed.
+    Decade expansion from LAMBDA_LO finds a one-decade bracket, which
+    bisection on log(lambda) narrows to REL_TOL.  Loads that break the model
+    (p >= 1) count as infeasible.  Every PLR the search evaluates is kept:
+    PLR monotonicity in lambda is checked on those samples and flagged, not
+    assumed, and the validity flag is that of the returned capacity's PLR.
     """
-    target = config.plr_target
-    # validity of the evaluation that establishes the returned capacity;
-    # clamping at overload points probed during bracketing is not reported
-    validity = False
+    samples: dict[float, PlrCurvePoint] = {}
 
     def feasible(lam: float) -> bool:
-        nonlocal validity
-        if target >= 1.0:
+        if config.plr_target >= 1.0:
             return True
         try:
-            point = plr(lam, config)
+            samples[lam] = plr(lam, config)
         except TrafficIntensityError:
             return False
-        if point.plr <= target:
-            validity = point.validity_warning
-            return True
-        return False
+        return samples[lam].plr <= config.plr_target
 
-    if not feasible(lambda_lo):
-        return CapacityResult(0.0, validity_warning=validity)
-
-    lo = lambda_lo
-    hi = lambda_lo
-    while True:
-        nxt = hi * 10.0
-        if nxt >= lambda_cap:
-            if feasible(lambda_cap):
-                return CapacityResult(lambda_cap, above_search_limit=True,
-                                      validity_warning=validity)
-            hi = lambda_cap
-            break
-        if feasible(nxt):
-            lo = hi = nxt
-        else:
-            hi = nxt
-            break
-
-    for _ in range(max_iter):
-        if hi / lo <= 1.0 + rel_tol:
-            break
+    lo, hi = 0.0, LAMBDA_LO
+    while lo < LAMBDA_CAP and feasible(hi):
+        lo, hi = hi, min(hi * 10.0, LAMBDA_CAP)
+    while lo > 0.0 and hi / lo > 1.0 + REL_TOL:
         mid = math.sqrt(lo * hi)
         if feasible(mid):
             lo = mid
         else:
             hi = mid
 
-    mono_warning = False
-    if monotonicity_points >= 2:
-        grid = np.geomspace(lambda_lo, hi, monotonicity_points)
-        values = []
-        for lam in grid:
-            try:
-                point = plr(lam, config)
-            except TrafficIntensityError:
-                break
-            values.append(point.plr)
-        diffs = np.diff(values)
-        if np.any(diffs < -1e-9 * np.maximum(np.abs(values[:-1]), 1e-300)):
-            mono_warning = True
-
-    return CapacityResult(lo, monotonicity_warning=mono_warning,
-                          validity_warning=validity)
+    values = np.array([samples[lam].plr for lam in sorted(samples)])
+    nonmonotonic = np.any(np.diff(values) < -1e-9 * np.maximum(np.abs(values[:-1]), 1e-300))
+    return CapacityResult(lo, above_search_limit=lo == LAMBDA_CAP,
+                          monotonicity_warning=bool(nonmonotonic),
+                          validity_warning=lo in samples and samples[lo].validity_warning)
 
 
-def _sweep_worker(payload: tuple[ScenarioConfig, dict, dict]) -> CapacityResult:
-    config, overrides, kwargs = payload
-    cfg = validate_config(replace(config, **overrides))
-    return capacity(cfg, **kwargs)
+def _sweep_worker(payload: tuple[ScenarioConfig, dict]) -> CapacityResult:
+    config, overrides = payload
+    return capacity(validate_config(replace(config, **overrides)))
 
 
 def capacity_sweep(config: ScenarioConfig,
                    grid: Mapping[str, Sequence] | Iterable[tuple[str, Sequence]],
-                   *, workers: int = 1,
-                   **capacity_kwargs) -> list[tuple[dict, CapacityResult]]:
+                   *, workers: int = 1) -> list[tuple[dict, CapacityResult]]:
     """Capacity over the cartesian product of parameter value lists.
 
     grid maps ScenarioConfig field names (e.g. repetitions_nu,
@@ -432,5 +401,5 @@ def capacity_sweep(config: ScenarioConfig,
         raise ValueError("lambda_rate is the quantity capacity solves for; it cannot be swept")
     names = [name for name, _ in items]
     combos = [dict(zip(names, values)) for values in product(*(vals for _, vals in items))]
-    payloads = [(config, overrides, capacity_kwargs) for overrides in combos]
+    payloads = [(config, overrides) for overrides in combos]
     return list(zip(combos, pool_map(_sweep_worker, payloads, workers)))

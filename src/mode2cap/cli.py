@@ -11,10 +11,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
-from .analytic import capacity, capacity_sweep, plr
+from .analytic import capacity_sweep, plr
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -61,18 +62,18 @@ def parse_sweep(text: str) -> SweepSpec:
         if ".." in spec:
             lo_text, _, rest = spec.partition("..")
             hi_text, _, step_text = rest.partition(":")
-            lo, hi = conv(lo_text), conv(hi_text)
-            step = conv(step_text) if step_text else (1 if integral else 1.0)
+            # float bounds and step become their shortest round-trip decimals,
+            # so lo + i * step is exact and each value is rounded only once
+            exact = int if integral else lambda t: Decimal(repr(float(t)))
+            lo, hi = exact(lo_text), exact(hi_text)
+            step = exact(step_text) if step_text else exact(1)
             if step <= 0:
                 raise ConfigError(f"sweep step must be positive in {text!r}")
-            values = []
-            v = lo
-            while v <= hi + (0 if integral else 1e-12 * max(abs(hi), 1.0)):
-                values.append(conv(v))
-                v += step
+            count = int((hi - lo) // step) + 1 if hi >= lo else 0
+            values = [conv(lo + i * step) for i in range(count)]
         else:
             values = [conv(part) for part in spec.split(",") if part.strip()]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"cannot parse sweep spec {text!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"sweep spec {text!r} produced no values")
@@ -170,21 +171,13 @@ def cmd_plr(args) -> int:
 def cmd_capacity(args) -> int:
     cfg = load_scenario(args)
     specs = [parse_sweep(text) for text in args.vary or []]
-    if not specs:
-        result = capacity(cfg)
-        rows = [(result.capacity, ";".join(result.flags))]
-        emit_rows(("capacity", "flag"), rows, args)
-    else:
-        grid = {spec.field: list(spec.values) for spec in specs}
-        results = capacity_sweep(cfg, grid, workers=args.workers)
-        columns = tuple(spec.name for spec in specs) + ("capacity", "flag")
-        rows = []
-        for overrides, result in results:
-            swept = tuple(overrides[field] for field in
-                          (spec.field for spec in specs))
-            rows.append(swept + (result.capacity, ";".join(result.flags)))
-        rows.sort(key=lambda row: row[:len(specs)])
-        emit_rows(columns, rows, args)
+    # with no --vary the grid is empty and the sweep gives one row
+    grid = {spec.field: list(spec.values) for spec in specs}
+    rows = [tuple(overrides[spec.field] for spec in specs)
+            + (result.capacity, ";".join(result.flags))
+            for overrides, result in capacity_sweep(cfg, grid, workers=args.workers)]
+    rows.sort(key=lambda row: row[:len(specs)])
+    emit_rows(tuple(spec.name for spec in specs) + ("capacity", "flag"), rows, args)
     write_sidecar(args, cfg, {"vary": [f"{s.name}={list(s.values)}" for s in specs]})
     return 0
 

@@ -1,6 +1,6 @@
 """Link layer shared by the analytic chain and the simulator.
 
-Path loss, per-subchannel SINR, EESM threshold reception, and the exclusion
+Path loss, per-subchannel SINR, the EESM effective SINR, and the exclusion
 radius: the minimum distance an interferer must keep for a packet to survive
 a given frequency overlap.  Distances, overlaps and SINRs may be numpy
 arrays: results broadcast over them, and scalar inputs give scalar results.
@@ -9,19 +9,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .config import ScenarioConfig
-
-
-@dataclass(frozen=True)
-class EesmOutcome:
-    effective_sinr: float
-    success: bool
 
 
 def pathloss(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
@@ -51,13 +43,6 @@ def sinr_no_interference(r: ArrayLike, config: ScenarioConfig) -> float | np.nda
     """
     return pathloss(r, config) * config.tx_power_s / (
         config.packet_width_m * config.noise_sigma)
-
-
-def sinr_one_interferer(r: float, r_int: float, config: ScenarioConfig) -> float:
-    """Per-subchannel SINR with a single co-channel interferer at distance r_int."""
-    s = config.tx_power_s
-    return pathloss(r, config) * s / (
-        pathloss(r_int, config) * s + config.packet_width_m * config.noise_sigma)
 
 
 def exclusion_radius(r: ArrayLike, m_overlap: ArrayLike,
@@ -103,10 +88,3 @@ def effective_sinr(per_subchannel_sinr: ArrayLike, gamma: float) -> float | np.n
     mx = np.maximum(x.max(axis=-1), -sys.float_info.max)
     with np.errstate(divide="ignore"):
         return -gamma * (mx + np.log(np.exp(x - mx[..., None]).sum(axis=-1) / n))
-
-
-def eesm_receive(per_subchannel_sinr: Sequence[float] | np.ndarray,
-                 config: ScenarioConfig) -> EesmOutcome:
-    """Threshold reception test: success iff the effective SINR exceeds T."""
-    eff = float(effective_sinr(per_subchannel_sinr, config.eesm_gamma))
-    return EesmOutcome(effective_sinr=eff, success=eff > config.sinr_threshold_t)

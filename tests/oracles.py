@@ -2,15 +2,16 @@
 
 Each one reaches a quantity of the package by a different route than the
 package does: brute-force enumeration, a series before its closed form, a
-per-distance profile record, the loss recursion one distance at a time, or
-the simulator as one slot-by-slot event loop.
+per-distance profile record, the SINR against one interferer and the EESM
+test of one packet, the loss recursion one distance at a time, or the
+simulator as one slot-by-slot event loop.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -77,6 +78,26 @@ def exclusion_profile(r: float, config: ScenarioConfig) -> ExclusionProfile:
     """Exclusion radii for every overlap width 1..M at distance r."""
     overlaps = np.arange(1, config.packet_width_m + 1)
     return ExclusionProfile(tuple(exclusion_radius(r, overlaps, config).tolist()))
+
+
+@dataclass(frozen=True)
+class EesmOutcome:
+    effective_sinr: float
+    success: bool
+
+
+def sinr_one_interferer(r: float, r_int: float, config: ScenarioConfig) -> float:
+    """Per-subchannel SINR with a single co-channel interferer at distance r_int."""
+    s = config.tx_power_s
+    return pathloss(r, config) * s / (
+        pathloss(r_int, config) * s + config.packet_width_m * config.noise_sigma)
+
+
+def eesm_receive(per_subchannel_sinr: Sequence[float] | np.ndarray,
+                 config: ScenarioConfig) -> EesmOutcome:
+    """Threshold reception test: success iff the effective SINR exceeds T."""
+    eff = float(effective_sinr(per_subchannel_sinr, config.eesm_gamma))
+    return EesmOutcome(effective_sinr=eff, success=eff > config.sinr_threshold_t)
 
 
 def success_prob_series(r: float, config: ScenarioConfig, r_bar: float,

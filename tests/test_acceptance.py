@@ -17,21 +17,25 @@ from mode2cap import (
     ScenarioConfig,
     SimConfig,
     capacity_sweep,
-    eesm_receive,
     exclusion_radius,
     loss_recursion,
     overlap_distribution,
     plr,
     run,
     sinr_no_interference,
-    sinr_one_interferer,
     success_prob,
     transmit_probability,
     truncation_depth,
     validate_config,
 )
 
-from oracles import exclusion_profile, overlap_distribution_oracle, success_prob_series
+from oracles import (
+    eesm_receive,
+    exclusion_profile,
+    overlap_distribution_oracle,
+    sinr_one_interferer,
+    success_prob_series,
+)
 
 PHI = 0.05
 SIGMA = 1e-13

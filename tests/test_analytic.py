@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mode2cap import (
+    PlrCurvePoint,
     capacity,
     capacity_sweep,
     exclusion_radius,
@@ -223,12 +224,12 @@ class TestBatchedRecursion:
 
     def test_chunked_grid_equals_one_chunk(self, scenario, monkeypatch):
         # K = 45 at nu = 2 makes the state 136 wide: 56 nodes per chunk, so
-        # the 64- and 128-node grids run in 2 and 3 chunks
+        # the 192 nodes of both grids run in 4 chunks
         k = 45
         assert _RecursionOperator(scenario, truncation_k=k).chunk < 64
         chunked = plr(10.0, scenario, truncation_k=k)
         monkeypatch.setattr(_RecursionOperator, "_BATCH_ELEMENTS", 2 ** 40)
-        assert _RecursionOperator(scenario, truncation_k=k).chunk > 128
+        assert _RecursionOperator(scenario, truncation_k=k).chunk > 192
         assert plr(10.0, scenario, truncation_k=k) == chunked
 
 
@@ -270,13 +271,13 @@ class TestPlr:
 class TestCapacity:
     def test_infeasible_at_lower_bound_gives_zero(self):
         cfg = make_scenario(plr_target=1e-12)
-        result = capacity(cfg, monotonicity_points=0)
+        result = capacity(cfg)
         assert result.capacity == 0.0
 
     def test_trivial_target_hits_search_cap(self, scenario):
         cfg = replace(scenario, plr_target=1.0)
-        result = capacity(cfg, lambda_cap=1e4)
-        assert result.capacity == 1e4
+        result = capacity(cfg)
+        assert result.capacity == 1e6
         assert result.above_search_limit
         assert "above_search_limit" in result.flags
 
@@ -286,6 +287,50 @@ class TestCapacity:
         assert not result.above_search_limit
         assert plr(result.capacity, cfg).plr <= cfg.plr_target
         assert plr(result.capacity * 1.01, cfg).plr > cfg.plr_target
+
+    def test_dip_on_a_sampled_load_is_flagged(self, scenario, monkeypatch):
+        # PLR = lambda / 50 meets 1e-2 up to lambda = 0.5, so the search
+        # samples the decades 1e-4..1 and then bisects within (0.1, 1); the
+        # dipped PLR is 100 times lower near lambda = 0.1 only, where it
+        # stays feasible, so the search takes the same steps
+        def fake(dip):
+            def plr_fake(lam, cfg):
+                value = lam / 50.0 * (0.01 if dip and 0.05 < lam < 0.2 else 1.0)
+                return PlrCurvePoint(lam, value, 0.0)
+            return plr_fake
+
+        cfg = replace(scenario, plr_target=1e-2)
+        monkeypatch.setattr("mode2cap.analytic.plr", fake(dip=False))
+        monotone = capacity(cfg)
+        monkeypatch.setattr("mode2cap.analytic.plr", fake(dip=True))
+        dipped = capacity(cfg)
+        assert monotone.flags == ()
+        assert dipped.flags == ("nonmonotonic_plr",)
+        assert dipped.capacity == monotone.capacity
+        assert monotone.capacity == pytest.approx(0.5, rel=1e-3)
+
+    def test_each_plr_call_evaluates_a_new_load(self, monkeypatch):
+        cfg = make_scenario(repetitions_nu=2, plr_target=1e-2)
+        loads = []
+
+        def counting(lam, config):
+            loads.append(lam)
+            return plr(lam, config)
+
+        monkeypatch.setattr("mode2cap.analytic.plr", counting)
+        result = capacity(cfg)
+        assert len(loads) == len(set(loads))
+        # the 7 decades 1e-4..1e2 bracket the capacity; at most 12 halvings
+        # of log(lambda) shrink one decade below a ratio of 1.001
+        assert 10.0 < result.capacity < 100.0
+        assert len(loads) <= 7 + 12
+
+    @pytest.mark.parametrize("nu, flagged", [(8, True), (2, False)])
+    def test_validity_is_that_of_the_capacity_point(self, nu, flagged):
+        cfg = make_scenario(num_subchannels_b=10, repetitions_nu=nu, plr_target=1e-2)
+        result = capacity(cfg)
+        assert result.validity_warning is flagged
+        assert result.validity_warning == plr(result.capacity, cfg).validity_warning
 
     def test_sweep_rows_in_grid_order(self, scenario):
         rows = capacity_sweep(scenario, {"repetitions_nu": [0, 1]})

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from mode2cap.cli import parse_sweep
+
 CMD = [sys.executable, "-m", "mode2cap"]
 
 
@@ -119,6 +121,13 @@ class TestCapacityCommand:
         out = invoke("capacity", "--vary", "bandwidth_b=2,3")
         assert out.returncode == 2
         assert "packet_width_m" in out.stderr
+
+    def test_float_range_values_are_exact(self):
+        assert parse_sweep("plr_target=0.1..0.5:0.1").values == (0.1, 0.2, 0.3, 0.4, 0.5)
+        values = parse_sweep("plr_target=0.001..0.01:0.001").values
+        assert len(values) == 10
+        assert values[-1] == 0.01
+        assert parse_sweep("nu=1..8:3").values == (1, 4, 7)
 
     def test_json_format(self):
         out = invoke("capacity", "--vary", "nu=0,1", "--format", "json")

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mode2cap import (
-    eesm_receive,
     effective_sinr,
     exclusion_radius,
     pathloss,
     pathloss_distance,
     sinr_no_interference,
-    sinr_one_interferer,
 )
 
 from conftest import make_scenario
-from oracles import exclusion_profile
+from oracles import eesm_receive, exclusion_profile, sinr_one_interferer
 
 
 class TestPathloss:
