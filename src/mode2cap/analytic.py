@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -58,7 +58,6 @@ class RecursionTable:
     p_s: float
     p_nc: float
     truncation_k: int
-    c_max: int
     clamped: bool
     values: np.ndarray
 
@@ -209,11 +208,9 @@ class _RecursionOperator:
         k = truncation_k if truncation_k is not None else truncation_depth(config)
         self.capped = k > MAX_TRUNCATION_DEPTH
         self.k = min(k, MAX_TRUNCATION_DEPTH)
-        self.c_max = self.nu * self.k
+        # without repetitions no interferer is ever mid-repetition: c = 0 only
         self.width = (self.nu + 1) * self.k + 1 if self.nu else 1
         self.chunk = max(1, self._BATCH_ELEMENTS // self.width ** 2)
-        if self.nu == 0:
-            return
         self.g_rep, self.g_last, self.h = _mixing_matrices(
             self.width, repetition_probability(config), 1.0 / (self.nu + 1.0))
         self.kernel = self.p ** np.arange(self.k)
@@ -229,13 +226,6 @@ class _RecursionOperator:
         p = self.p
         p_s = p_s[:, None]
         clamped = np.full(p_s.shape[0], self.capped)
-        if self.nu == 0:
-            geom = (1.0 - p ** self.k) / (1.0 - p)
-            u = (1.0 - p_s) * geom
-            clamped |= u[:, 0] > 1.0 + _CLAMP_TOL
-            v = p + (1.0 - p) * np.minimum(u, 1.0)
-            return np.stack([np.ones_like(v), v]), clamped
-
         width = self.width
         yfac = 1.0 - p_nc[:, None] ** np.arange(width)
         # y_c = p_s * sum_j (g_rep diag(yfac) g_last)[c, j] * v[c - j]; p_nc
@@ -289,8 +279,7 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
     rows, clamped = op.levels(np.array([p_s], dtype=float), np.array([p_nc], dtype=float))
     table = rows[:, 0, :]
     return RecursionTable(plr_r=float(table[-1, 0]), p_s=p_s, p_nc=p_nc,
-                          truncation_k=op.k, c_max=op.c_max,
-                          clamped=bool(clamped[0]), values=table)
+                          truncation_k=op.k, clamped=bool(clamped[0]), values=table)
 
 
 # plr's quadrature: composite Gauss-Legendre with POINTS nodes per panel, on
@@ -382,24 +371,20 @@ def capacity(config: ScenarioConfig) -> CapacityResult:
                           validity_warning=lo in samples and samples[lo].validity_warning)
 
 
-def _sweep_worker(payload: tuple[ScenarioConfig, dict]) -> CapacityResult:
-    config, overrides = payload
+def _sweep_worker(config: ScenarioConfig, overrides: dict) -> CapacityResult:
     return capacity(validate_config(replace(config, **overrides)))
 
 
-def capacity_sweep(config: ScenarioConfig,
-                   grid: Mapping[str, Sequence] | Iterable[tuple[str, Sequence]],
-                   *, workers: int = 1) -> list[tuple[dict, CapacityResult]]:
+def capacity_sweep(config: ScenarioConfig, grid: Mapping[str, Sequence], *,
+                   workers: int = 1) -> list[tuple[dict, CapacityResult]]:
     """Capacity over the cartesian product of parameter value lists.
 
     grid maps ScenarioConfig field names (e.g. repetitions_nu,
     num_subchannels_b, plr_target) to value lists.  Rows come back in grid
     order regardless of the number of workers.
     """
-    items = list(grid.items()) if isinstance(grid, Mapping) else list(grid)
-    if any(name == "lambda_rate" for name, _ in items):
+    if "lambda_rate" in grid:
         raise ValueError("lambda_rate is the quantity capacity solves for; it cannot be swept")
-    names = [name for name, _ in items]
-    combos = [dict(zip(names, values)) for values in product(*(vals for _, vals in items))]
+    combos = [dict(zip(grid, values)) for values in product(*grid.values())]
     payloads = [(config, overrides) for overrides in combos]
     return list(zip(combos, pool_map(_sweep_worker, payloads, workers)))

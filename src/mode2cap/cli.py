@@ -149,15 +149,10 @@ def write_sidecar(args, scenario: ScenarioConfig, extra: dict | None = None) -> 
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _plr_worker(payload: tuple[float, ScenarioConfig]):
-    lam, cfg = payload
-    return plr(lam, cfg)
-
-
 def cmd_plr(args) -> int:
     cfg = load_scenario(args)
     lambdas = parse_lambda_list(args.lambda_list)
-    points = pool_map(_plr_worker, [(lam, cfg) for lam in lambdas], args.workers)
+    points = pool_map(plr, [(lam, cfg) for lam in lambdas], args.workers)
     rows = [
         (pt.lambda_rate, pt.plr, pt.error_estimate,
          "model_validity" if pt.validity_warning else "")

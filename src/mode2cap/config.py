@@ -196,7 +196,7 @@ def validate_config(raw: Mapping[str, Any] | ScenarioConfig) -> ScenarioConfig:
 
 
 def pool_map(worker: Callable, payloads: Sequence, workers: int) -> list:
-    """worker(payload) for every payload, in input order.
+    """worker(*payload) for every payload tuple, in input order.
 
     Runs in this process when workers == 1 or there is a single payload;
     otherwise on a process pool of `workers` processes, started for this
@@ -205,5 +205,5 @@ def pool_map(worker: Callable, payloads: Sequence, workers: int) -> list:
     """
     if workers > 1 and len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, payloads))
-    return [worker(p) for p in payloads]
+            return list(pool.map(worker, *zip(*payloads)))
+    return [worker(*p) for p in payloads]

@@ -15,15 +15,6 @@ class OverlapDistribution:
 
     probs: tuple[float, ...]
 
-    @property
-    def max_overlap(self) -> int:
-        return len(self.probs) - 1
-
-
-def _check_args(b: int, m_width: int) -> None:
-    if not (1 <= m_width <= b):
-        raise ValueError(f"need 1 <= m_width <= b, got m_width={m_width}, b={b}")
-
 
 def overlap_distribution(b: int, m_width: int) -> OverlapDistribution:
     """Closed-form overlap distribution.
@@ -33,7 +24,8 @@ def overlap_distribution(b: int, m_width: int) -> OverlapDistribution:
     for 2*m_width <= b; at 2*m_width == b it is the correct continuation of
     the same expression (checked against a brute-force enumeration).
     """
-    _check_args(b, m_width)
+    if not (1 <= m_width <= b):
+        raise ValueError(f"need 1 <= m_width <= b, got m_width={m_width}, b={b}")
     m_w = m_width
     denom = (b + 1 - m_w) ** 2
     counts = []

@@ -11,10 +11,9 @@ oracle for the analytic chain at loss levels reachable by counting.
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
@@ -30,11 +29,10 @@ LOSS_INTERFERENCE = "interference"
 class SimConfig:
     """Simulation run description.
 
-    edge_margin: pairs are measured only when both UEs are at least this far
-    from the ends of the line (defaults to 2R, approximating an infinite
-    line).  interference_cutoff: interferers beyond this distance are ignored
-    (defaults to the distance at which the received power drops to
-    noise_sigma / 100; math.inf disables the cutoff).
+    Pairs are measured only when both UEs are at least 2R from the ends of the
+    line, approximating an infinite line.  interference_cutoff: interferers
+    beyond this distance are ignored (defaults to the distance at which the
+    received power drops to noise_sigma / 100; math.inf disables the cutoff).
     """
 
     scenario: ScenarioConfig
@@ -42,13 +40,7 @@ class SimConfig:
     num_slots: int = 20000
     seed: int = 1
     replications: int = 4
-    edge_margin: float | None = None
     interference_cutoff: float | None = None
-
-    def resolved_edge_margin(self) -> float:
-        if self.edge_margin is None:
-            return 2.0 * self.scenario.range_r
-        return self.edge_margin
 
     def resolved_cutoff(self) -> float:
         if self.interference_cutoff is None:
@@ -68,15 +60,7 @@ class SimReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "plr_estimate": self.plr_estimate,
-            "confidence_interval_95": self.confidence_interval_95,
-            "pairs_measured": self.pairs_measured,
-            "losses": self.losses,
-            "half_duplex_losses": self.half_duplex_losses,
-            "interference_losses": self.interference_losses,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -129,8 +113,6 @@ def validate_sim_config(sim_config: SimConfig) -> SimConfig:
         raise ConfigError("replications out of range (need at least 1)")
     if not (0 <= cfg.seed < 2 ** 64):
         raise ConfigError("seed out of range (need an unsigned 64-bit integer)")
-    if cfg.resolved_edge_margin() < sc.range_r:
-        raise ConfigError("edge_margin out of range (need at least range_r)")
     if cfg.resolved_cutoff() < 0.0:
         raise ConfigError("interference_cutoff out of range (must be >= 0)")
     return cfg
@@ -157,40 +139,34 @@ def build_topology(sim_config: SimConfig, rng: np.random.Generator) -> np.ndarra
 def _schedule(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every packet's transmitter, attempt slots and subchannel starts, as
-    arrays of shape (P,), (P, nu+1) and (P, nu+1) in packet order.
+    arrays of shape (P,), (P, nu+1) and (P, nu+1), packets in order of their
+    first attempt.
 
-    Reception never feeds back into resource selection, so the schedule is
-    drawn before anything is received.  A UE's next packet arrives an
-    exponential time after the slot of its previous packet's last attempt
-    (its first, after time 0) and goes out first in the next slot.  Events
-    pop by slot: its arrivals in time order, then the packets that end in
-    it in packet order, the order in which a slot-by-slot replay draws.
+    Reception never feeds back into resource selection, and each UE's packets
+    form a renewal process of their own: the next packet arrives an
+    exponential time after the slot of the previous packet's last attempt
+    (the first, after time 0) and goes out first in the next slot.  So round
+    j draws the j-th packet of every UE still inside the horizon at once.
     """
     tau, nu, mean_gap = sc.slot_tau, sc.repetitions_nu, 1.0 / sc.lambda_rate
-    # (slot, phase, key, ue): phase 0 is an arrival at time key, phase 1 the
-    # end of packet key
-    events = [(math.floor(t / tau) + 1, 0, t, ue)
-              for ue, t in enumerate(rng.exponential(mean_gap, size=n))]
-    heapq.heapify(events)
+    ue, t = np.arange(n), rng.exponential(mean_gap, size=n)
     tx, slots, subs = [], [], []
-    while events and events[0][0] < horizon:
-        slot, phase, key, ue = heapq.heappop(events)
-        if phase == 0:
-            row = [slot]
-            if nu > 0:
-                offsets = np.sort(rng.choice(sc.window_w - 1, size=nu, replace=False) + 1)
-                row += [slot + int(o) for o in offsets]
-            if row[-1] < horizon:
-                heapq.heappush(events, (row[-1], 1, len(tx), ue))
-            tx.append(ue)
-            slots.append(row)
-            subs.append(rng.integers(0, sc.num_subchannels_b - sc.packet_width_m + 1,
-                                     size=nu + 1))
-        else:
-            t = (slot + 1) * tau + rng.exponential(mean_gap)
-            heapq.heappush(events, (math.floor(t / tau) + 1, 0, t, ue))
-    return (np.array(tx, dtype=np.intp), np.array(slots, dtype=np.int64).reshape(-1, nu + 1),
-            np.array(subs, dtype=np.int64).reshape(-1, nu + 1))
+    while ue.size:
+        first = np.floor(t / tau).astype(np.int64) + 1
+        inside = first < horizon
+        ue, first = ue[inside], first[inside]
+        # nu distinct repetition offsets in 1..W-1: the ranks of a row's nu
+        # smallest uniforms
+        ranks = np.argsort(rng.random((ue.size, sc.window_w - 1)), axis=1)[:, :nu]
+        row = np.column_stack([first, first[:, None] + 1 + np.sort(ranks, axis=1)])
+        tx.append(ue)
+        slots.append(row)
+        subs.append(rng.integers(0, sc.num_subchannels_b - sc.packet_width_m + 1,
+                                 size=row.shape))
+        t = (row[:, -1] + 1) * tau + rng.exponential(mean_gap, size=ue.size)
+    tx, slots, subs = (np.concatenate(a) for a in (tx, slots, subs))
+    order = np.argsort(slots[:, 0], kind="stable")
+    return tx[order], slots[order], subs[order]
 
 
 def _simulate_replication(sim_config: SimConfig, replication: int,
@@ -202,7 +178,7 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     horizon, nu, m_w = sim_config.num_slots, sc.repetitions_nu, sc.packet_width_m
     sig_power = sc.tx_power_s / m_w
     cutoff = sim_config.resolved_cutoff()
-    margin = sim_config.resolved_edge_margin()
+    margin = 2.0 * sc.range_r
 
     eligible = (pos >= margin) & (pos <= pos[-1] - margin)
     # receivers measured for a transmitter: eligible UEs within range_r
@@ -286,11 +262,6 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
                       eligible_ues=int(eligible.sum()))
 
 
-def _run_replication_payload(payload: tuple[SimConfig, int]) -> _RepResult:
-    sim_config, replication = payload
-    return _simulate_replication(sim_config, replication)
-
-
 def run(sim_config: SimConfig, workers: int = 1) -> SimReport:
     """Run all replications and aggregate into a SimReport.
 
@@ -299,7 +270,7 @@ def run(sim_config: SimConfig, workers: int = 1) -> SimReport:
     """
     cfg = validate_sim_config(sim_config)
     payloads = [(cfg, rep) for rep in range(cfg.replications)]
-    results = pool_map(_run_replication_payload, payloads, workers)
+    results = pool_map(_simulate_replication, payloads, workers)
 
     pairs = sum(r.pairs for r in results)
     if pairs == 0:

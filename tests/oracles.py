@@ -4,11 +4,10 @@ Each one reaches a quantity of the package by a different route than the
 package does: brute-force enumeration, a series before its closed form, a
 per-distance profile record, the SINR against one interferer and the EESM
 test of one packet, the loss recursion one distance at a time, or the
-simulator as one slot-by-slot event loop.
+simulator's reception as one slot-by-slot loop over per-packet records.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,6 +30,7 @@ from mode2cap.sim import (
     AttemptRecord,
     SimConfig,
     _RepResult,
+    _schedule,
     build_topology,
     replication_rng,
 )
@@ -199,9 +199,9 @@ class _Packet:
 def simulate_replication_reference(sim_config: SimConfig, replication: int,
                                    recorder: Callable[[AttemptRecord], None] | None = None,
                                    ) -> _RepResult:
-    """The simulator as one event loop that schedules and receives slot by
-    slot, with a mutable record per packet.  The package draws the whole
-    schedule first and then receives slot by slot; both must give the same
+    """The simulator's reception as one loop over slots, with a mutable record
+    per packet, fed the package's own schedule.  The package receives each
+    slot in one array pass over flat pair arrays; both must give the same
     results and records, in the same order.
     """
     sc = sim_config.scenario
@@ -209,15 +209,13 @@ def simulate_replication_reference(sim_config: SimConfig, replication: int,
     pos = build_topology(sim_config, rng)
     n = sim_config.num_ues
     horizon = sim_config.num_slots
-    tau = sc.slot_tau
-    w = sc.window_w
     nu = sc.repetitions_nu
     b_total = sc.num_subchannels_b
     m_w = sc.packet_width_m
     sig_power = sc.tx_power_s / m_w
     noise = sc.noise_sigma
     cutoff = sim_config.resolved_cutoff()
-    margin = sim_config.resolved_edge_margin()
+    margin = 2.0 * sc.range_r
 
     line_end = pos[-1]
     eligible = (pos >= margin) & (pos <= line_end - margin)
@@ -232,38 +230,20 @@ def simulate_replication_reference(sim_config: SimConfig, replication: int,
 
     result = _RepResult(eligible_ues=int(eligible.sum()))
 
-    arrivals: list[tuple[float, int]] = [
-        (t, ue) for ue, t in enumerate(rng.exponential(1.0 / sc.lambda_rate, size=n))
-    ]
-    heapq.heapify(arrivals)
     slot_map: dict[int, list[tuple[_Packet, int]]] = {}
     end_map: dict[int, list[_Packet]] = {}
-    next_pid = 0
-
-    def schedule(ue: int, arrival_time: float) -> None:
-        nonlocal next_pid
-        first = int(math.floor(arrival_time / tau)) + 1
-        if nu > 0:
-            offsets = np.sort(rng.choice(w - 1, size=nu, replace=False) + 1)
-            slots = [first] + [first + int(o) for o in offsets]
-        else:
-            slots = [first]
-        subs = rng.integers(0, b_total - m_w + 1, size=nu + 1)
-        pkt = _Packet(next_pid, ue, slots, subs, rx_lists[ue], bool(eligible[ue]), horizon)
+    for pid, (ue, slots, subs) in enumerate(zip(*_schedule(sc, rng, n, horizon))):
+        ue = int(ue)
+        pkt = _Packet(pid, ue, slots.tolist(), subs, rx_lists[ue], bool(eligible[ue]),
+                      horizon)
         if pkt.measured and len(pkt.rx_ids) == 0:
             pkt.measured = False
-        next_pid += 1
-        for ai, s in enumerate(slots):
+        for ai, s in enumerate(pkt.slots):
             if s < horizon:
                 slot_map.setdefault(s, []).append((pkt, ai))
         end_map.setdefault(min(pkt.last_slot, horizon - 1), []).append(pkt)
 
     for slot in range(horizon):
-        slot_time = slot * tau
-        while arrivals and arrivals[0][0] < slot_time:
-            t_arr, ue = heapq.heappop(arrivals)
-            schedule(ue, t_arr)
-
         attempts = slot_map.pop(slot, None)
         if attempts:
             tx_ues = np.array([pkt.tx for pkt, _ in attempts])
@@ -330,8 +310,4 @@ def simulate_replication_reference(sim_config: SimConfig, replication: int,
                         pure_hd = lost & (pkt.hd_count == nu + 1)
                         result.hd_losses += int(pure_hd.sum())
                         result.int_losses += n_lost - int(pure_hd.sum())
-                if pkt.last_slot < horizon:
-                    t_next = (pkt.last_slot + 1) * tau \
-                        + rng.exponential(1.0 / sc.lambda_rate)
-                    heapq.heappush(arrivals, (t_next, pkt.tx))
     return result

@@ -16,7 +16,7 @@ from mode2cap import (
     transmit_probability,
     validate_sim_config,
 )
-from mode2cap.sim import _simulate_replication
+from mode2cap.sim import _schedule, _simulate_replication
 
 from conftest import make_scenario
 from oracles import simulate_replication_reference
@@ -68,10 +68,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             validate_sim_config(small_sim(seed=-1))
 
-    def test_margin_below_range(self):
-        with pytest.raises(ConfigError, match="edge_margin"):
-            validate_sim_config(small_sim(edge_margin=100.0))
-
     def test_default_cutoff_is_low_power_distance(self):
         cfg = small_sim()
         sc = cfg.scenario
@@ -120,6 +116,19 @@ class TestSchedules:
             assert max(slots) - slots[0] <= w - 1
             for _, sub, _ in attempts.values():
                 assert 0 <= sub <= cfg.scenario.num_subchannels_b - cfg.scenario.packet_width_m
+
+    def test_each_ue_is_a_renewal_process(self):
+        # a UE's next packet arrives after the slot of its previous packet's
+        # last attempt and goes out in a later slot, so at least 2 slots on
+        cfg = validate_sim_config(small_sim(
+            scenario_kw=dict(repetitions_nu=3, lambda_rate=100.0)))
+        tx, slots, _ = _schedule(cfg.scenario, replication_rng(cfg.seed, 0),
+                                 cfg.num_ues, cfg.num_slots)
+        order = np.lexsort((slots[:, 0], tx))
+        tx, slots = tx[order], slots[order]
+        same_ue = tx[1:] == tx[:-1]
+        assert same_ue.sum() > 10 * cfg.num_ues
+        assert (slots[1:, 0] - slots[:-1, -1])[same_ue].min() >= 2
 
     def test_single_repetition_has_two_attempts(self):
         cfg = small_sim(scenario_kw=dict(repetitions_nu=1, lambda_rate=20.0))
