@@ -200,9 +200,9 @@ def simulate_replication_reference(sim_config: SimConfig, replication: int,
                                    recorder: Callable[[AttemptRecord], None] | None = None,
                                    ) -> _RepResult:
     """The simulator's reception as one loop over slots, with a mutable record
-    per packet, fed the package's own schedule.  The package receives each
-    slot in one array pass over flat pair arrays; both must give the same
-    results and records, in the same order.
+    per packet, fed the package's own schedule.  The package receives chunks
+    of consecutive slots, each in one array pass over flat pair arrays; both
+    must give the same results and records, in the same order.
     """
     sc = sim_config.scenario
     rng = replication_rng(sim_config.seed, replication)

@@ -16,6 +16,7 @@ from mode2cap import (
     transmit_probability,
     validate_sim_config,
 )
+from mode2cap import sim
 from mode2cap.sim import _schedule, _simulate_replication
 
 from conftest import make_scenario
@@ -192,12 +193,15 @@ class TestAgainstReference:
         (dict(repetitions_nu=2, lambda_rate=30.0), {}),
         (dict(repetitions_nu=8, lambda_rate=10.0), {}),
         (dict(repetitions_nu=2, lambda_rate=30.0), dict(interference_cutoff=0.0)),
+        # the line is about 2.4 km long: most interferers are beyond 300 m
+        (dict(repetitions_nu=2, lambda_rate=30.0), dict(interference_cutoff=300.0)),
         (dict(repetitions_nu=1, lambda_rate=100.0), {}),
         (dict(repetitions_nu=2, lambda_rate=20.0, num_subchannels_b=3), {}),
-    ], ids=["nu0", "nu1", "nu2", "nu8", "cutoff0", "half_duplex_heavy", "b_equals_m"])
+    ], ids=["nu0", "nu1", "nu2", "nu8", "cutoff0", "cutoff300", "half_duplex_heavy",
+            "b_equals_m"])
     def test_matches_event_loop(self, scenario_kw, sim_kw):
-        # the schedule-first simulator against the slot-by-slot event loop:
-        # equal tallies and equal records, in the same order
+        # the chunked simulator against the slot-by-slot event loop: equal
+        # tallies and equal records, in the same order
         cfg = validate_sim_config(small_sim(scenario_kw=scenario_kw, num_ues=120,
                                             num_slots=1500, **sim_kw))
         for rep in range(cfg.replications):
@@ -206,6 +210,45 @@ class TestAgainstReference:
             assert result == simulate_replication_reference(cfg, rep, recorder=want.append)
             assert result.pairs > 0 and got
             assert got == want
+
+    @pytest.mark.parametrize("scenario_kw", [
+        dict(repetitions_nu=0, lambda_rate=20.0),
+        dict(repetitions_nu=2, lambda_rate=30.0),
+        dict(repetitions_nu=1, lambda_rate=100.0),
+    ], ids=["nu0", "nu2", "half_duplex_heavy"])
+    def test_chunking_is_invisible(self, scenario_kw, monkeypatch):
+        # one slot per chunk and one chunk per replication give the default
+        # chunking's tallies and records, in the same order; the chunks are
+        # counted by the one effective_sinr call each makes
+        cfg = validate_sim_config(small_sim(scenario_kw=scenario_kw, num_ues=120,
+                                            num_slots=1500))
+        inner, calls = sim.effective_sinr, []
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(sim, "effective_sinr", counted)
+
+        def replications(bound):
+            monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", bound)
+            calls.clear()
+            out = []
+            for rep in range(cfg.replications):
+                records = []
+                out.append((_simulate_replication(cfg, rep, recorder=records.append),
+                            records))
+            return out, len(calls)
+
+        default, default_chunks = replications(sim._CHUNK_ELEMENTS)
+        per_slot, slot_chunks = replications(1)
+        whole, whole_chunks = replications(2 ** 40)
+        assert whole_chunks == cfg.replications < default_chunks < slot_chunks
+        assert per_slot == default and whole == default
+        for rep, (result, records) in enumerate(default):
+            want = []
+            assert result == simulate_replication_reference(cfg, rep, recorder=want.append)
+            assert records == want
 
 
 class TestAgainstClosedForms:
