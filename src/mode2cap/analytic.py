@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy import stats
 
 from .config import (
     ScenarioConfig,
@@ -174,13 +173,22 @@ def _mixing_matrices(width: int, p_rep: float,
     sum_j (g_rep @ g_last)[c, j] * x[c - j] = sum_d h[c, d] * x[d].  None of
     them depends on lambda, so a capacity solve builds them once per width.
     """
-    n = np.arange(width)
-    g_rep = stats.binom.pmf(n[None, :], n[:, None], p_rep)
-    g_last = stats.binom.pmf(n[None, :], n[:, None], q_last)
+    g_rep = _binomial_rows(width, p_rep)
+    g_last = _binomial_rows(width, q_last)
     h = _diagonal_index(g_rep @ g_last)
     for a in (g_rep, g_last, h):
         a.setflags(write=False)
     return g_rep, g_last, h
+
+
+def _binomial_rows(width: int, q: float) -> np.ndarray:
+    """pmf[c, i] = C(c, i) q^i (1-q)^(c-i) for c, i < width, by Pascal's rule."""
+    pmf = np.zeros((width, width))
+    pmf[0, 0] = 1.0
+    for c in range(1, width):
+        pmf[c, :c] = (1.0 - q) * pmf[c - 1, :c]
+        pmf[c, 1:c + 1] += q * pmf[c - 1, :c]
+    return pmf
 
 
 def _diagonal_index(a: np.ndarray) -> np.ndarray:

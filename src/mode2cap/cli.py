@@ -87,9 +87,13 @@ def parse_lambda_list(chunks: Sequence[str] | None) -> list[float]:
             part = part.strip()
             if part:
                 try:
-                    values.append(float(part))
+                    value = float(part)
                 except ValueError as exc:
                     raise ConfigError(f"bad lambda value {part!r}") from exc
+                if not 0.0 < value < math.inf:
+                    raise ConfigError(
+                        f"lambda value {part!r} out of range (need a finite load > 0)")
+                values.append(value)
     return values
 
 

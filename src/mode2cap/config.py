@@ -199,11 +199,12 @@ def pool_map(worker: Callable, payloads: Sequence, workers: int) -> list:
     """worker(*payload) for every payload tuple, in input order.
 
     Runs in this process when workers == 1 or there is a single payload;
-    otherwise on a process pool of `workers` processes, started for this
-    call with the platform's default start method and shut down before
-    returning.  worker and payloads must be picklable.
+    otherwise on a process pool of min(workers, len(payloads)) processes,
+    started for this call with the platform's default start method and shut
+    down before returning.  worker and payloads must be picklable.
     """
     if workers > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(payloads))) as pool:
             return list(pool.map(worker, *zip(*payloads)))
     return [worker(*p) for p in payloads]

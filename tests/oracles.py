@@ -140,8 +140,10 @@ def loss_recursion_per_node(p_s: float, p_nc: float, config: ScenarioConfig,
     that transmit in the slot, and those to the j that transmit their last
     repetition.  Returns the rows[t, c] table and the clamp flag.
 
-    Builds the mixing matrices one row at a time and composes them per level,
-    as the package did before it contracted them once and batched the nodes.
+    Builds the mixing matrices one row at a time from scipy's binomial pmf,
+    so the binomial is computed independently of the package's Pascal's-rule
+    rows, and composes them per level instead of contracting them once over
+    a batch of nodes.
     """
     tol = 1e-12
     p = transmit_probability(config)

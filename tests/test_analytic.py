@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mode2cap import (
     PlrCurvePoint,
@@ -17,7 +19,12 @@ from mode2cap import (
     transmit_probability,
     truncation_depth,
 )
-from mode2cap.analytic import _RecursionOperator, _noncollision_from_profile
+from mode2cap.analytic import (
+    MAX_TRUNCATION_DEPTH,
+    _binomial_rows,
+    _noncollision_from_profile,
+    _RecursionOperator,
+)
 
 from conftest import make_scenario
 from oracles import loss_recursion_per_node, success_prob_series
@@ -107,6 +114,50 @@ class TestRepetitionNonCollision:
         assert got.shape == r.shape
         assert np.array_equal(
             got, [repetition_noncollision_prob(ri, cfg) for ri in r.tolist()])
+
+
+EPS = np.finfo(float).eps
+# the mixing probabilities the recursion uses: nu/(W-1) at the default W = 20,
+# and 1/(nu+1)
+MIXING_QS = [nu / 19.0 for nu in range(1, 9)] + [1.0 / (nu + 1.0) for nu in range(1, 9)]
+
+
+class TestBinomialRows:
+    """The mixing rows built by Pascal's rule, row c = (1-q) a + q b from the
+    entries a, b of row c-1.  1-q, the two nonnegative products and their sum
+    are each rounded to nearest, so the relative error grows by at most
+    3 eps/2 per row, and 2 c eps bounds row c."""
+
+    @pytest.mark.parametrize("q", MIXING_QS)
+    def test_within_2c_eps_of_exact_values(self, q):
+        width = 46  # (8+1)*5+1: nu = 8 at truncation depth 5
+        pmf = _binomial_rows(width, q)
+        exact_q = Fraction(q)
+        for c in range(width):
+            bound = 2 * c * Fraction(EPS)
+            for i in range(width):
+                exact = (math.comb(c, i) * exact_q ** i * (1 - exact_q) ** (c - i)
+                         if i <= c else Fraction(0))
+                assert abs(Fraction(pmf[c, i]) - exact) <= bound * exact, (c, i)
+
+    # p_rep and q_last at nu = 8, the only nu that reaches the cap width
+    @pytest.mark.parametrize("q", [8.0 / 19.0, 1.0 / 9.0])
+    def test_cap_width_rows_are_distributions_that_match_scipy(self, q):
+        width = 9 * MAX_TRUNCATION_DEPTH + 1  # nu = 8 at the truncation cap
+        pmf = _binomial_rows(width, q)
+        c = np.arange(width)
+        assert np.all(pmf >= 0.0)
+        sums = np.array([math.fsum(row) for row in pmf])
+        assert np.all(np.abs(sums - 1.0) <= 2 * c * EPS)
+        # Pascal's rule is within 2 c eps <= 1.03e-12 of the exact value.
+        # scipy's pmf has no stated bound; against exact rationals it was off
+        # by up to 6.3e-13 relative (2800 eps, at c = 172, i = 0, q = 1/19),
+        # so it is allowed 2e-12, three times that.  Entries above 1e-250 are
+        # far from the subnormal range, where underflow adds absolute error.
+        ref = stats.binom.pmf(c[None, :], c[:, None], q)
+        big = ref > 1e-250
+        rel = np.abs(pmf - ref)[big] / ref[big]
+        assert rel.max() <= 2 * (width - 1) * EPS + 2e-12
 
 
 class TestLossRecursion:

@@ -61,6 +61,13 @@ class TestPlrCommand:
         assert out.returncode == 3
         assert "traffic too intense" in out.stderr
 
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_nonpositive_or_nan_load_exits_2_and_names_value(self, value):
+        out = invoke("plr", "--lambda", f"1,{value}")
+        assert out.returncode == 2
+        assert f"lambda value {value!r} out of range" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_csv_is_17_digit_lf_stable(self, tmp_path):
         target = tmp_path / "out.csv"
         out = invoke("plr", "--lambda", "7", "--out", str(target))
@@ -199,6 +206,14 @@ class TestValidateCommand:
         assert out.returncode == 0
         _, rows = parse_csv(out.stdout)
         assert rows[0][5] == "below_measurable"
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_nonpositive_or_nan_load_exits_2_and_names_value(self, value):
+        out = invoke("validate", "--lambda", value, "--num-ues", "200",
+                     "--slots", "3000")
+        assert out.returncode == 2
+        assert f"lambda value {value!r} out of range" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_invalid_sim_override_exits_2(self):
         out = invoke("validate", "--lambda", "10", "--num-ues", "1",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -16,6 +17,7 @@ from mode2cap import (
     validate_config,
     watts_to_dbm,
 )
+from mode2cap.config import pool_map
 
 from conftest import make_scenario
 
@@ -141,3 +143,41 @@ class TestUnitConversions:
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
         assert db_to_linear(0.0) == 1.0
         assert math.isclose(db_to_linear(3.0), 2.0, rel_tol=0.01)
+
+
+class _RecordingPool:
+    """ProcessPoolExecutor stand-in that records its size and maps in this
+    process, so no worker is started."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestPoolMap:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        return _RecordingPool
+
+    @pytest.mark.parametrize("workers, n, size", [(8, 2, 2), (2, 5, 2), (3, 3, 3)])
+    def test_pool_never_larger_than_payload_count(self, pool, workers, n, size):
+        payloads = [(10 * i + 7, i + 2) for i in range(n)]
+        assert pool_map(divmod, payloads, workers) == [divmod(a, b) for a, b in payloads]
+        assert pool.sizes == [size]
+
+    @pytest.mark.parametrize("workers, n", [(1, 4), (8, 1), (8, 0)])
+    def test_serial_cases_start_no_pool(self, pool, workers, n):
+        payloads = [(i, 3) for i in range(n)]
+        assert pool_map(divmod, payloads, workers) == [divmod(i, 3) for i in range(n)]
+        assert pool.sizes == []
