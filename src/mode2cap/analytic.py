@@ -24,6 +24,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .config import (
+    ConfigError,
     ScenarioConfig,
     TrafficIntensityError,
     pool_map,
@@ -193,18 +194,24 @@ def _binomial_rows(width: int, q: float) -> np.ndarray:
 
 def _diagonal_index(a: np.ndarray) -> np.ndarray:
     """out[..., c, d] = a[..., c, c - d] for d <= c, and 0 for d > c."""
-    n = np.arange(a.shape[-1])
-    idx = np.maximum(np.subtract.outer(n, n), 0)
-    return np.tril(np.take_along_axis(a, np.broadcast_to(idx, a.shape), axis=-1))
+    w = a.shape[-1]
+    return np.tril(np.take(a.reshape(*a.shape[:-2], w * w), _flat_diagonal(w), axis=-1))
+
+
+@lru_cache(maxsize=8)
+def _flat_diagonal(width: int) -> np.ndarray:
+    """Flat index c * width + (c - d) of a[c, c - d], with c - d clipped at 0."""
+    c = np.arange(width)
+    return c[:, None] * width + np.maximum(c[:, None] - c, 0)
 
 
 class _RecursionOperator:
     """Loss-recursion evaluator for one (config, lambda) pair, run on a batch
     of distances (quadrature nodes) at once.
 
-    State is an (N, width) array, one row per node; each level costs a few
-    (N, width, width) elementwise products, so nodes are processed in chunks
-    of `chunk` to bound that memory.
+    State is an (N, width) array, one row per node; each level costs two
+    matrix products, one with a stack of (N, width, width) per-node matrices,
+    so nodes are processed in chunks of `chunk` to bound that memory.
     """
 
     # largest (chunk, width, width) temporary, in elements (8 MiB of float64)
@@ -217,11 +224,16 @@ class _RecursionOperator:
         self.capped = k > MAX_TRUNCATION_DEPTH
         self.k = min(k, MAX_TRUNCATION_DEPTH)
         # without repetitions no interferer is ever mid-repetition: c = 0 only
-        self.width = (self.nu + 1) * self.k + 1 if self.nu else 1
-        self.chunk = max(1, self._BATCH_ELEMENTS // self.width ** 2)
-        self.g_rep, self.g_last, self.h = _mixing_matrices(
-            self.width, repetition_probability(config), 1.0 / (self.nu + 1.0))
-        self.kernel = self.p ** np.arange(self.k)
+        width = self.width = (self.nu + 1) * self.k + 1 if self.nu else 1
+        self.chunk = max(1, self._BATCH_ELEMENTS // width ** 2)
+        self.g_rep, self.g_last, h = _mixing_matrices(
+            width, repetition_probability(config), 1.0 / (self.nu + 1.0))
+        # u_c = (1 - p_s) * sum_d h[c, d] * sum_{s=1..K} p^(s-1) * v[d + s] with v = 1
+        # past the last column, as (1 - p_s) * (v @ u_from_v + u_const), band by band
+        self.u_from_v, self.u_const = np.zeros((width, width)), np.zeros(width)
+        for s, weight in enumerate(self.p ** np.arange(self.k), start=1):
+            self.u_from_v[s:] += weight * h.T[:-s]
+            self.u_const += weight * h[:, max(width - s, 0):].sum(axis=1)
 
     def levels(self, p_s: np.ndarray, p_nc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Recursion rows for nodes with success probabilities p_s[n] and
@@ -231,32 +243,21 @@ class _RecursionOperator:
         interferers mid-repetition, for t = 0..nu+1, and a per-node flag
         that is set when any probability had to be clamped into [0, 1].
         """
-        p = self.p
         p_s = p_s[:, None]
         clamped = np.full(p_s.shape[0], self.capped)
-        width = self.width
-        yfac = 1.0 - p_nc[:, None] ** np.arange(width)
+        yfac = 1.0 - p_nc[:, None] ** np.arange(self.width)
         # y_c = p_s * sum_j (g_rep diag(yfac) g_last)[c, j] * v[c - j]; p_nc
         # does not change between levels, so the per-node matrix is built once
         hy = _diagonal_index((self.g_rep * yfac[:, None, :]) @ self.g_last)
-        v_prev = np.ones((p_s.shape[0], width))
-        rows = [v_prev]
+        rows = [np.ones((p_s.shape[0], self.width))]
         for _ in range(self.nu + 1):
-            padded = np.concatenate([v_prev, np.ones((v_prev.shape[0], self.k))], axis=1)
-            z = np.zeros_like(v_prev)
-            for k_i in range(self.k):
-                z += self.kernel[k_i] * padded[:, k_i + 1:k_i + 1 + width]
-            u = (1.0 - p_s) * (self.h * z[:, None, :]).sum(axis=-1)
-            y = np.where(p_s > 0.0, p_s * (hy * v_prev[:, None, :]).sum(axis=-1), 0.0)
-            clamped |= np.any(u > 1.0 + _CLAMP_TOL, axis=1) \
-                | np.any(y > 1.0 + _CLAMP_TOL, axis=1)
-            np.clip(u, 0.0, 1.0, out=u)
-            np.clip(y, 0.0, 1.0, out=y)
-            v = p * v_prev + (1.0 - p) * (u + y)
+            v = rows[-1]
+            u = (1.0 - p_s) * (v @ self.u_from_v + self.u_const)
+            y = np.where(p_s > 0.0, p_s * np.matmul(hy, v[:, :, None])[:, :, 0], 0.0)
+            clamped |= np.any((u > 1.0 + _CLAMP_TOL) | (y > 1.0 + _CLAMP_TOL), axis=1)
+            v = self.p * v + (1.0 - self.p) * (np.clip(u, 0.0, 1.0) + np.clip(y, 0.0, 1.0))
             clamped |= np.any(v > 1.0 + _CLAMP_TOL, axis=1)
-            np.clip(v, 0.0, 1.0, out=v)
-            rows.append(v)
-            v_prev = v
+            rows.append(np.clip(v, 0.0, 1.0))
         return np.stack(rows), clamped
 
     def plr_r(self, p_s: np.ndarray, p_nc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,6 +314,8 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     the reported value is the finer estimate and the error estimate is the
     difference between the two.
     """
+    if not 0.0 < lambda_rate < math.inf:
+        raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")
     cfg = config.with_lambda(lambda_rate)
     r_max = cfg.range_r
     panel_counts = (PANELS, 2 * PANELS)

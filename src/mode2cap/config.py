@@ -170,6 +170,9 @@ def validate_config(raw: Mapping[str, Any] | ScenarioConfig) -> ScenarioConfig:
                 kwargs[key] = float(value)
         cfg = ScenarioConfig(**kwargs)
 
+    for f in fields(ScenarioConfig):
+        if f.name not in _INT_FIELDS and not math.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"{f.name} must be finite, got {getattr(cfg, f.name)!r}")
     for name in ("phi", "lambda_rate", "range_r", "pathloss_a", "tx_power_s",
                  "noise_sigma", "slot_tau", "delay_budget", "sinr_threshold_t",
                  "eesm_gamma"):

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import mode2cap
 from mode2cap import (
+    ConfigError,
     PlrCurvePoint,
     capacity,
     capacity_sweep,
@@ -22,6 +28,7 @@ from mode2cap import (
 from mode2cap.analytic import (
     MAX_TRUNCATION_DEPTH,
     _binomial_rows,
+    _diagonal_index,
     _noncollision_from_profile,
     _RecursionOperator,
 )
@@ -254,24 +261,51 @@ class TestBatchedRecursion:
         if "range_r" in kwargs:
             assert np.any(p_s == 0.0) and np.any(p_s > 0.0)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(repetitions_nu=0),
-        dict(repetitions_nu=2),
-        dict(repetitions_nu=8),
-        dict(num_subchannels_b=5, repetitions_nu=4, lambda_rate=2.0),
-        dict(repetitions_nu=2, range_r=300.0),
-    ], ids=["nu0", "nu2", "nu8", "b5nu4", "zero_p_s"])
-    def test_matches_per_node_reference(self, kwargs):
+    @pytest.mark.parametrize("kwargs, truncation_k", [
+        (dict(repetitions_nu=0), None),
+        (dict(repetitions_nu=2), None),
+        (dict(repetitions_nu=8), None),
+        (dict(num_subchannels_b=5, repetitions_nu=4, lambda_rate=2.0), None),
+        (dict(repetitions_nu=2, range_r=300.0), None),
+        # width 136, far wider than K: the banded u-term matrix is mostly zeros
+        (dict(repetitions_nu=2), 45),
+    ], ids=["nu0", "nu2", "nu8", "b5nu4", "zero_p_s", "wide"])
+    def test_matches_per_node_reference(self, kwargs, truncation_k):
         # each level sums up to width**2 positive products in another order
         # than the reference; 1e-13 is about width * (nu + 1) ulp at nu = 8
         cfg = make_scenario(**kwargs)
-        op = _RecursionOperator(cfg)
+        op = _RecursionOperator(cfg, truncation_k)
         _, p_s, p_nc = self._grid(cfg)
         rows, clamped = op.levels(p_s[::8], p_nc[::8])
         for n, (a, b) in enumerate(zip(p_s[::8].tolist(), p_nc[::8].tolist())):
             want, want_clamped = loss_recursion_per_node(a, b, cfg, op.k)
             np.testing.assert_allclose(rows[:, n, :], want, rtol=1e-13, atol=0.0)
             assert clamped[n] == want_clamped
+
+    @pytest.mark.parametrize("shape", [(3, 2, 7, 7), (4, 1, 1)], ids=["batched", "width1"])
+    def test_diagonal_index_is_exact(self, shape):
+        a = np.random.default_rng(5).random(shape)
+        want = np.zeros(shape)
+        for c in range(shape[-1]):
+            for d in range(c + 1):
+                want[..., c, d] = a[..., c, c - d]
+        assert np.array_equal(_diagonal_index(a), want)
+
+    def test_plr_independent_of_blas_threads(self, tmp_path):
+        # the recursion's matrix products run on BLAS; at width 136 (K = 45,
+        # nu = 2) they are large enough for a threaded BLAS to split them
+        code = ("from mode2cap import ScenarioConfig, plr, validate_config\n"
+                "pt = plr(10.0, validate_config(ScenarioConfig()), truncation_k=45)\n"
+                "print(pt.plr.hex(), pt.error_estimate.hex(), pt.validity_warning)")
+        src = str(Path(mode2cap.__file__).parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                                 capture_output=True, text=True, check=True)
+            outs.append(out.stdout)
+        assert outs[0] == outs[1]
 
     def test_chunked_grid_equals_one_chunk(self, scenario, monkeypatch):
         # K = 45 at nu = 2 makes the state 136 wide: 56 nodes per chunk, so
@@ -311,6 +345,11 @@ class TestPlr:
     def test_monotone_in_load_on_grid(self, scenario):
         values = [plr(lam, scenario).plr for lam in (0.5, 1, 2, 5, 10, 20, 50)]
         assert all(a <= b * (1 + 1e-9) for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("load", [0.0, -5.0, math.nan, math.inf])
+    def test_load_not_finite_and_positive_rejected(self, scenario, load):
+        with pytest.raises(ConfigError, match="lambda_rate must be finite and > 0"):
+            plr(load, scenario)
 
     def test_overload_propagates(self):
         cfg = make_scenario(repetitions_nu=0)

@@ -177,6 +177,14 @@ class TestSimulateCommand:
         assert out.returncode == 2
         assert "workers" in out.stderr
 
+    def test_infinite_config_load_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, lambda_rate=float("inf"))
+        assert "Infinity" in open(cfg).read()
+        out = invoke("simulate", "--config", cfg, "--num-ues", "120", "--slots", "3000")
+        assert out.returncode == 2
+        assert "lambda_rate must be finite" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_phi_override(self, tmp_path):
         dense = invoke("simulate", "--num-ues", "300", "--slots", "3000",
                        "--replications", "2", "--seed", "3", "--phi", "0.1")

@@ -46,10 +46,20 @@ class TestValidation:
         ("noise_sigma", 0.0, "noise_sigma"),
         ("phi", -0.1, "phi"),
         ("repetitions_nu", -1, "repetitions_nu"),
+        ("lambda_rate", math.inf, "lambda_rate must be finite"),
+        ("lambda_rate", math.nan, "lambda_rate must be finite"),
+        ("pathloss_beta", math.nan, "pathloss_beta must be finite"),
+        ("range_r", math.inf, "range_r must be finite"),
+        ("plr_target", math.nan, "plr_target must be finite"),
     ])
     def test_invariants_named_in_errors(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             validate_config(ScenarioConfig(**{field: value}))
+
+    def test_infinite_load_rejected_from_mapping_at_nu_0(self):
+        # an infinite load would otherwise reach 1 / (lambda * tau) at nu = 0
+        with pytest.raises(ConfigError, match="lambda_rate must be finite"):
+            validate_config({"lambda_rate": math.inf, "repetitions_nu": 0})
 
     def test_saturating_load_rejected(self):
         # nu=0 and lambda*tau = 1 give p = 1
