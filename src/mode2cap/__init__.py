@@ -15,10 +15,10 @@ from .config import (
     validate_config,
     watts_to_dbm,
 )
-from .overlap import OverlapDistribution, overlap_distribution
 from .link import (
     effective_sinr,
     exclusion_radius,
+    overlap_distribution,
     pathloss,
     pathloss_distance,
     sinr_no_interference,

@@ -33,8 +33,7 @@ from .config import (
     truncation_depth,
     validate_config,
 )
-from .link import exclusion_radius, sinr_no_interference
-from .overlap import overlap_distribution
+from .link import exclusion_radius, overlap_distribution, sinr_no_interference
 
 # Beyond this many geometric terms the recursion table gets unreasonably wide;
 # capping trades a tail below p**256 for bounded memory and flags the result.
@@ -95,8 +94,8 @@ class CapacityResult:
 
 def _interference_weights(config: ScenarioConfig) -> np.ndarray:
     """Overlap probabilities for m = 1..M (index 0 dropped)."""
-    dist = overlap_distribution(config.num_subchannels_b, config.packet_width_m)
-    return np.asarray(dist.probs[1:], dtype=float)
+    return np.asarray(overlap_distribution(
+        config.num_subchannels_b, config.packet_width_m)[1:], dtype=float)
 
 
 def _exclusion_radii(r: ArrayLike, config: ScenarioConfig) -> np.ndarray:

@@ -122,15 +122,15 @@ def truncation_depth(config: ScenarioConfig) -> int:
     return max(1, math.ceil(math.log(config.plr_target) / math.log(p)))
 
 
-_POWER_FIELDS = {"tx_power_s": ("watts", "dbm", dbm_to_watts),
-                 "noise_sigma": ("watts", "dbm", dbm_to_watts)}
-_RATIO_FIELDS = {"sinr_threshold_t": ("linear", "db", db_to_linear)}
+_UNIT_FIELDS = {"tx_power_s": ("watts", "dbm", dbm_to_watts),
+                "noise_sigma": ("watts", "dbm", dbm_to_watts),
+                "sinr_threshold_t": ("linear", "db", db_to_linear)}
 _INT_FIELDS = ("num_subchannels_b", "packet_width_m", "repetitions_nu")
 
 
 def _coerce_unit(name: str, value: Any) -> float:
     """Accept a bare number or a single-key {unit: value} dict for power/ratio fields."""
-    linear_key, log_key, conv = (_POWER_FIELDS | _RATIO_FIELDS)[name]
+    linear_key, log_key, conv = _UNIT_FIELDS[name]
     if isinstance(value, Mapping):
         if set(value.keys()) == {linear_key}:
             return float(value[linear_key])
@@ -142,33 +142,45 @@ def _coerce_unit(name: str, value: Any) -> float:
     return float(value)
 
 
+def integer_field(name: str, value: Any) -> int:
+    """value as an int, if it is one (2.0 gives 2); ConfigError naming the
+    field otherwise."""
+    try:
+        ival = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    if ival != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return ival
+
+
 def validate_config(raw: Mapping[str, Any] | ScenarioConfig) -> ScenarioConfig:
     """Check every invariant and return an immutable, unit-normalized config.
 
     Accepts either a ScenarioConfig or a mapping with the field names of
     ScenarioConfig; in mappings the power fields take {"watts": x} / {"dbm": x}
     and the SINR threshold takes {"linear": x} / {"db": x}. Unknown keys are
-    rejected.  Missing keys fall back to the field defaults.
+    rejected.  Missing keys fall back to the field defaults.  A ScenarioConfig
+    is read as its field mapping, so both inputs get the same coercion and
+    checks.
     """
     if isinstance(raw, ScenarioConfig):
-        cfg = raw
-    else:
-        known = {f.name for f in fields(ScenarioConfig)}
-        unknown = set(raw.keys()) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
-        for key, value in raw.items():
-            if key in _POWER_FIELDS or key in _RATIO_FIELDS:
-                kwargs[key] = _coerce_unit(key, value)
-            elif key in _INT_FIELDS:
-                ival = int(value)
-                if ival != value:
-                    raise ConfigError(f"{key} must be an integer, got {value!r}")
-                kwargs[key] = ival
-            else:
-                kwargs[key] = float(value)
-        cfg = ScenarioConfig(**kwargs)
+        raw = {f.name: getattr(raw, f.name) for f in fields(raw)}
+    unknown = set(raw.keys()) - {f.name for f in fields(ScenarioConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    kwargs: dict[str, Any] = {}
+    for key, value in raw.items():
+        if key in _INT_FIELDS:
+            kwargs[key] = integer_field(key, value)
+            continue
+        try:
+            kwargs[key] = _coerce_unit(key, value) if key in _UNIT_FIELDS else float(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    cfg = ScenarioConfig(**kwargs)
 
     for f in fields(ScenarioConfig):
         if f.name not in _INT_FIELDS and not math.isfinite(getattr(cfg, f.name)):

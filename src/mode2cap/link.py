@@ -1,9 +1,10 @@
 """Link layer shared by the analytic chain and the simulator.
 
-Path loss, per-subchannel SINR, the EESM effective SINR, and the exclusion
-radius: the minimum distance an interferer must keep for a packet to survive
-a given frequency overlap.  Distances, overlaps and SINRs may be numpy
-arrays: results broadcast over them, and scalar inputs give scalar results.
+Path loss, per-subchannel SINR, the EESM effective SINR, the overlap law of
+two random contiguous allocations, and the exclusion radius: the minimum
+distance an interferer must keep for a packet to survive a given frequency
+overlap.  Distances, overlaps and SINRs may be numpy arrays: results
+broadcast over them, and scalar inputs give scalar results.
 """
 from __future__ import annotations
 
@@ -43,6 +44,32 @@ def sinr_no_interference(r: ArrayLike, config: ScenarioConfig) -> float | np.nda
     """
     return pathloss(r, config) * config.tx_power_s / (
         config.packet_width_m * config.noise_sigma)
+
+
+def overlap_distribution(b: int, m_width: int) -> tuple[float, ...]:
+    """Probabilities of overlap width m = 0..M for two M-wide allocations.
+
+    Counted exactly in integers over the (b - m_width + 1)**2 equally likely
+    start pairs, converted to float at the end.  The zero-overlap case applies
+    for 2*m_width <= b; at 2*m_width == b it is the correct continuation of
+    the same expression (checked against a brute-force enumeration).
+    """
+    if not (1 <= m_width <= b):
+        raise ValueError(f"need 1 <= m_width <= b, got m_width={m_width}, b={b}")
+    m_w = m_width
+    denom = (b + 1 - m_w) ** 2
+    counts = []
+    for m in range(m_w + 1):
+        if m == m_w:
+            num = b + 1 - m_w
+        elif m < 2 * m_w - b:
+            num = 0
+        elif m == 0:
+            num = (b + 2 - 2 * m_w) * (b + 1 - 2 * m_w)
+        else:
+            num = 2 * (b + m + 1 - 2 * m_w)
+        counts.append(num)
+    return tuple(c / denom for c in counts)
 
 
 def exclusion_radius(r: ArrayLike, m_overlap: ArrayLike,

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, pool_map, validate_config
+from .config import ConfigError, ScenarioConfig, integer_field, pool_map, validate_config
 from .link import effective_sinr, pathloss, pathloss_distance
 
 LOSS_HALF_DUPLEX = "half_duplex"
@@ -93,9 +93,6 @@ class _RepResult:
     pairs: int = 0
     losses: int = 0
     hd_losses: int = 0
-    int_losses: int = 0
-    tx_slot_count: int = 0
-    eligible_ues: int = 0
 
     @property
     def plr(self) -> float:
@@ -103,8 +100,10 @@ class _RepResult:
 
 
 def validate_sim_config(sim_config: SimConfig) -> SimConfig:
+    counts = {name: integer_field(name, getattr(sim_config, name))
+              for name in ("num_ues", "num_slots", "replications", "seed")}
     sc = validate_config(sim_config.scenario)
-    cfg = replace(sim_config, scenario=sc)
+    cfg = replace(sim_config, scenario=sc, **counts)
     if cfg.num_ues < 2:
         raise ConfigError("num_ues out of range (need at least 2)")
     if cfg.num_slots < sc.window_w:
@@ -114,7 +113,8 @@ def validate_sim_config(sim_config: SimConfig) -> SimConfig:
         raise ConfigError("replications out of range (need at least 1)")
     if not (0 <= cfg.seed < 2 ** 64):
         raise ConfigError("seed out of range (need an unsigned 64-bit integer)")
-    if cfg.resolved_cutoff() < 0.0:
+    # written so that nan fails too; inf disables the cutoff
+    if not cfg.resolved_cutoff() >= 0.0:
         raise ConfigError("interference_cutoff out of range (must be >= 0)")
     return cfg
 
@@ -281,12 +281,8 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
                                        cause, ue))
 
     lost = ~received
-    hd_losses = int((lost & (hd_count == nu + 1)).sum())
-    losses = int(lost.sum())
-    return _RepResult(pairs=int(pair_rx.size), losses=losses, hd_losses=hd_losses,
-                      int_losses=losses - hd_losses,
-                      tx_slot_count=int(eligible[tx[att_pkt]].sum()),
-                      eligible_ues=int(eligible.sum()))
+    return _RepResult(pairs=int(pair_rx.size), losses=int(lost.sum()),
+                      hd_losses=int((lost & (hd_count == nu + 1)).sum()))
 
 
 def run(sim_config: SimConfig, workers: int = 1) -> SimReport:
@@ -309,13 +305,15 @@ def run(sim_config: SimConfig, workers: int = 1) -> SimReport:
         ci = 1.96 * math.sqrt(var / len(per_rep))
     else:
         ci = math.nan
+    losses = sum(r.losses for r in results)
+    hd_losses = sum(r.hd_losses for r in results)
     return SimReport(
         plr_estimate=mean,
         confidence_interval_95=ci,
         pairs_measured=pairs,
-        losses=sum(r.losses for r in results),
-        half_duplex_losses=sum(r.hd_losses for r in results),
-        interference_losses=sum(r.int_losses for r in results),
+        losses=losses,
+        half_duplex_losses=hd_losses,
+        interference_losses=losses - hd_losses,
         seed=cfg.seed,
     )
 

@@ -16,7 +16,6 @@ import numpy as np
 from scipy import stats
 
 from mode2cap import (
-    OverlapDistribution,
     ScenarioConfig,
     exclusion_radius,
     overlap_distribution,
@@ -36,7 +35,7 @@ from mode2cap.sim import (
 )
 
 
-def overlap_distribution_oracle(b: int, m_width: int) -> OverlapDistribution:
+def overlap_distribution_oracle(b: int, m_width: int) -> tuple[float, ...]:
     """Brute-force oracle: enumerate all ordered start pairs and count overlaps."""
     if not (1 <= m_width <= b):
         raise ValueError(f"need 1 <= m_width <= b, got m_width={m_width}, b={b}")
@@ -47,7 +46,7 @@ def overlap_distribution_oracle(b: int, m_width: int) -> OverlapDistribution:
             ov = max(0, min(s1, s2) + m_width - max(s1, s2))
             counts[ov] += 1
     total = len(starts) ** 2
-    return OverlapDistribution(tuple(c / total for c in counts))
+    return tuple(c / total for c in counts)
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def success_prob_series(r: float, config: ScenarioConfig, r_bar: float,
     beyond the largest of them.
     """
     weights = np.asarray(
-        overlap_distribution(config.num_subchannels_b, config.packet_width_m).probs[1:])
+        overlap_distribution(config.num_subchannels_b, config.packet_width_m)[1:])
     rho = np.asarray(exclusion_profile(r, config).rho)
     if np.any(np.isinf(rho) & (weights > 0.0)):
         raise ValueError("series form requires finite exclusion radii")
@@ -230,7 +229,7 @@ def simulate_replication_reference(sim_config: SimConfig, replication: int,
         ids = ids[(ids != i) & eligible[ids]]
         rx_lists.append(ids)
 
-    result = _RepResult(eligible_ues=int(eligible.sum()))
+    result = _RepResult()
 
     slot_map: dict[int, list[tuple[_Packet, int]]] = {}
     end_map: dict[int, list[_Packet]] = {}
@@ -249,7 +248,6 @@ def simulate_replication_reference(sim_config: SimConfig, replication: int,
         attempts = slot_map.pop(slot, None)
         if attempts:
             tx_ues = np.array([pkt.tx for pkt, _ in attempts])
-            result.tx_slot_count += int(eligible[tx_ues].sum())
             tx_pos = pos[tx_ues]
             tx_sub = np.array([pkt.subs[ai] for pkt, ai in attempts])
 
@@ -306,10 +304,6 @@ def simulate_replication_reference(sim_config: SimConfig, replication: int,
                 if pkt.measured:
                     result.pairs += len(pkt.rx_ids)
                     lost = ~pkt.received
-                    n_lost = int(lost.sum())
-                    result.losses += n_lost
-                    if n_lost:
-                        pure_hd = lost & (pkt.hd_count == nu + 1)
-                        result.hd_losses += int(pure_hd.sum())
-                        result.int_losses += n_lost - int(pure_hd.sum())
+                    result.losses += int(lost.sum())
+                    result.hd_losses += int((lost & (pkt.hd_count == nu + 1)).sum())
     return result

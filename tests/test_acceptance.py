@@ -55,8 +55,8 @@ def test_criterion_1_overlap_formula_closure():
     worst = 0.0
     for b in range(1, 33):
         for m in range(1, b + 1):
-            closed = overlap_distribution(b, m).probs
-            oracle = overlap_distribution_oracle(b, m).probs
+            closed = overlap_distribution(b, m)
+            oracle = overlap_distribution_oracle(b, m)
             worst = max(worst, max(abs(x - y) for x, y in zip(closed, oracle)))
     report("1 overlap-closure", worst <= 1e-12,
            f"max |closed - enumeration| = {worst:.2e} over all 1 <= M <= B <= 32")

@@ -48,7 +48,7 @@ class TestSuccessProb:
 
     def test_matches_hand_composed_exponent(self, scenario):
         p = transmit_probability(scenario)
-        probs = overlap_distribution(10, 3).probs
+        probs = overlap_distribution(10, 3)
         exponent = 2.0 * scenario.phi * p * sum(
             probs[m] * exclusion_radius(100.0, m, scenario) for m in range(1, 4))
         assert success_prob(100.0, scenario) == pytest.approx(
@@ -95,7 +95,7 @@ class TestRepetitionNonCollision:
         assert repetition_noncollision_prob(100.0, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_radii_identity(self):
-        weights = np.array(overlap_distribution(10, 3).probs[1:])
+        weights = np.array(overlap_distribution(10, 3)[1:])
         value = _noncollision_from_profile(weights, np.array([50.0, 50.0, 50.0]))
         assert value == pytest.approx(1.0 - weights.sum(), rel=1e-12)
 

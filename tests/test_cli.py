@@ -55,6 +55,19 @@ class TestPlrCommand:
         assert out.returncode == 2
         assert "unknown config keys" in out.stderr
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_rate", "abc"),
+        ("num_subchannels_b", None),
+        ("tx_power_s", {"dbm": "x"}),
+        ("phi", [1]),
+    ], ids=["string", "null", "unit_string", "list"])
+    def test_malformed_config_value_exits_2_and_names_key(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        out = invoke("plr", "--config", cfg, "--lambda", "1")
+        assert out.returncode == 2
+        assert key in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_overload_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, repetitions_nu=0)
         out = invoke("plr", "--config", cfg, "--lambda", "2500")

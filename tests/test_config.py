@@ -51,10 +51,20 @@ class TestValidation:
         ("pathloss_beta", math.nan, "pathloss_beta must be finite"),
         ("range_r", math.inf, "range_r must be finite"),
         ("plr_target", math.nan, "plr_target must be finite"),
+        ("num_subchannels_b", 10.5, "num_subchannels_b must be an integer"),
+        ("packet_width_m", math.nan, "packet_width_m must be an integer"),
+        ("repetitions_nu", math.inf, "repetitions_nu must be an integer"),
+        ("lambda_rate", "abc", "lambda_rate must be a number"),
     ])
     def test_invariants_named_in_errors(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             validate_config(ScenarioConfig(**{field: value}))
+
+    def test_dataclass_and_mapping_coerced_alike(self):
+        # an integral float is normalised to int on both input paths
+        from_dataclass = validate_config(ScenarioConfig(repetitions_nu=2.0))
+        assert from_dataclass == validate_config({"repetitions_nu": 2.0})
+        assert type(from_dataclass.repetitions_nu) is int
 
     def test_infinite_load_rejected_from_mapping_at_nu_0(self):
         # an infinite load would otherwise reach 1 / (lambda * tau) at nu = 0

@@ -10,21 +10,21 @@ from oracles import overlap_distribution_oracle
 
 def test_single_placement_always_full_overlap():
     dist = overlap_distribution(3, 3)
-    assert dist.probs == (0.0, 0.0, 0.0, 1.0)
+    assert dist == (0.0, 0.0, 0.0, 1.0)
 
 
 def test_two_subchannels_single_width():
     # 4 ordered start pairs: 2 disjoint, 2 coincide
-    assert overlap_distribution(2, 1).probs == (0.5, 0.5)
-    assert overlap_distribution_oracle(2, 1).probs == (0.5, 0.5)
+    assert overlap_distribution(2, 1) == (0.5, 0.5)
+    assert overlap_distribution_oracle(2, 1) == (0.5, 0.5)
 
 
 def test_reference_bandwidth_and_width():
     dist = overlap_distribution(10, 3)
     expect = (Fraction(30, 64), Fraction(12, 64), Fraction(14, 64), Fraction(8, 64))
-    for got, want in zip(dist.probs, expect):
+    for got, want in zip(dist, expect):
         assert got == pytest.approx(float(want), abs=1e-15)
-    assert overlap_distribution_oracle(10, 3).probs == dist.probs
+    assert overlap_distribution_oracle(10, 3) == dist
 
 
 @pytest.mark.parametrize("b,m", [(2, 1), (6, 3), (8, 4), (10, 5)])
@@ -32,15 +32,15 @@ def test_boundary_twice_width_equals_bandwidth(b, m):
     # the zero-overlap expression must hold at 2M == B as well
     closed = overlap_distribution(b, m)
     oracle = overlap_distribution_oracle(b, m)
-    for got, want in zip(closed.probs, oracle.probs):
+    for got, want in zip(closed, oracle):
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_closed_form_matches_oracle_small_grid():
     for b in range(1, 13):
         for m in range(1, b + 1):
-            closed = overlap_distribution(b, m).probs
-            oracle = overlap_distribution_oracle(b, m).probs
+            closed = overlap_distribution(b, m)
+            oracle = overlap_distribution_oracle(b, m)
             assert len(closed) == m + 1
             for got, want in zip(closed, oracle):
                 assert got == pytest.approx(want, abs=1e-12)
@@ -50,7 +50,7 @@ def test_closed_form_matches_oracle_small_grid():
     lambda b: st.tuples(st.just(b), st.integers(min_value=1, max_value=b))))
 def test_distribution_invariants(bm):
     b, m = bm
-    probs = overlap_distribution(b, m).probs
+    probs = overlap_distribution(b, m)
     assert all(0.0 <= x <= 1.0 for x in probs)
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     # impossible small overlaps below 2M - B, except the m = 0 slot

@@ -69,6 +69,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             validate_sim_config(small_sim(seed=-1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("interference_cutoff", math.nan),
+        ("num_ues", 150.5),
+        ("num_slots", 4000.5),
+        ("replications", 2.5),
+        ("seed", 5.5),
+        ("seed", None),
+    ])
+    def test_nan_cutoff_and_non_integral_counts_rejected(self, field, value):
+        # a nan cutoff would silently drop every interferer (dist <= nan is
+        # false); a non-integral count would fail later inside numpy
+        with pytest.raises(ConfigError, match=field):
+            validate_sim_config(small_sim(**{field: value}))
+
+    def test_integral_counts_normalised_and_inf_cutoff_kept(self):
+        cfg = validate_sim_config(small_sim(num_ues=150.0, seed=5.0,
+                                            interference_cutoff=math.inf))
+        assert (cfg.num_ues, cfg.seed) == (150, 5)
+        assert type(cfg.num_ues) is int and type(cfg.seed) is int
+        assert cfg.resolved_cutoff() == math.inf
+
     def test_default_cutoff_is_low_power_distance(self):
         cfg = small_sim()
         sc = cfg.scenario
@@ -130,6 +151,38 @@ class TestSchedules:
         same_ue = tx[1:] == tx[:-1]
         assert same_ue.sum() > 10 * cfg.num_ues
         assert (slots[1:, 0] - slots[:-1, -1])[same_ue].min() >= 2
+
+    @pytest.mark.parametrize("nu, lambda_rate", [(2, 10.0), (5, 3.0), (8, 3.0)])
+    def test_met_interferer_shares_later_slots_at_closed_form_rate(self, nu, lambda_rate):
+        # a packet met in the tagged packet's first slot s0 has a uniform
+        # attempt index there, so nu/2 attempts left on average, all in
+        # s0+1..s0+W-1; each lands on one of the tagged packet's nu
+        # repetition slots with probability nu/(W-1).  Per met packet that is
+        # nu**2 / (2 * (W - 1)) = p_rep * nu / 2 shared later slots, exactly
+        sc = make_scenario(repetitions_nu=nu, lambda_rate=lambda_rate)
+        w, horizon = sc.window_w, 40000
+        tx, slots, _ = _schedule(sc, replication_rng(7, 0), 300, horizon)
+        # tagged: first slot past a burn-in of 10 mean cycles, whole window
+        # inside the horizon
+        cycle = 1.0 / (lambda_rate * sc.slot_tau) + w * nu / (nu + 1.0)
+        tagged = np.flatnonzero((slots[:, 0] >= 10 * cycle) & (slots[:, 0] <= horizon - w))
+        # every attempt by slot; the met packets of each tagged packet are
+        # the other UEs' packets with an attempt in its slot s0
+        flat = slots.ravel()
+        order = np.argsort(flat, kind="stable")
+        att_slot, att_pkt = flat[order], order // (nu + 1)
+        lo = np.searchsorted(att_slot, slots[tagged, 0], side="left")
+        met_count = np.searchsorted(att_slot, slots[tagged, 0], side="right") - lo
+        t = np.repeat(tagged, met_count)
+        q = att_pkt[np.arange(t.size) + np.repeat(lo - np.cumsum(met_count) + met_count,
+                                                  met_count)]
+        t, q = t[tx[q] != tx[t]], q[tx[q] != tx[t]]
+        # a met packet's slots up to s0 cannot match a repetition slot > s0
+        shares = (slots[q][:, :, None] == slots[t][:, None, 1:]).sum(axis=(1, 2))
+        expected = nu ** 2 / (2.0 * (w - 1))
+        se = shares.std(ddof=1) / math.sqrt(shares.size)
+        assert shares.size > 10000
+        assert abs(shares.mean() - expected) <= 5.0 * se
 
     def test_single_repetition_has_two_attempts(self):
         cfg = small_sim(scenario_kw=dict(repetitions_nu=1, lambda_rate=20.0))
@@ -257,8 +310,15 @@ class TestAgainstClosedForms:
         cfg = validate_sim_config(small_sim(
             scenario_kw=dict(lambda_rate=20.0, repetitions_nu=2),
             num_ues=400, num_slots=20000, replications=1))
-        res = _simulate_replication(cfg, 0)
-        p_emp = res.tx_slot_count / (res.eligible_ues * cfg.num_slots)
+        sc, horizon = cfg.scenario, cfg.num_slots
+        # the topology and schedule of replication 0, drawn as the simulator
+        # draws them; attempts inside the horizon by UEs away from the ends
+        rng = replication_rng(cfg.seed, 0)
+        pos = build_topology(cfg, rng)
+        tx, slots, _ = _schedule(sc, rng, cfg.num_ues, horizon)
+        eligible = (pos >= 2.0 * sc.range_r) & (pos <= pos[-1] - 2.0 * sc.range_r)
+        tx_slots = (eligible[tx][:, None] & (slots < horizon)).sum()
+        p_emp = tx_slots / (eligible.sum() * horizon)
         p = transmit_probability(cfg.scenario)
         assert p_emp == pytest.approx(p, rel=0.05)
 
@@ -364,6 +424,8 @@ class TestRepetitionCorrelation:
                     continue
                 slot0, sub0, tx = attempts[rec.packet_id][0]
                 r_pair = abs(pos[tx] - pos[rec.rx_id])
+                # radii for overlaps 1..M in one call, equal to scalar calls
+                rho = exclusion_radius(r_pair, np.arange(1, m_w + 1), scenario).tolist()
                 candidates = set()
                 for pid2, sub2, tx2 in slot_attempts[slot0]:
                     if pid2 == rec.packet_id:
@@ -371,8 +433,7 @@ class TestRepetitionCorrelation:
                     ov = max(0, min(sub0, sub2) + m_w - max(sub0, sub2))
                     if ov == 0:
                         continue
-                    if abs(pos[tx2] - pos[rec.rx_id]) <= exclusion_radius(
-                            r_pair, ov, scenario):
+                    if abs(pos[tx2] - pos[rec.rx_id]) <= rho[ov - 1]:
                         candidates.add(pid2)
                 if len(candidates) != 1:
                     continue
