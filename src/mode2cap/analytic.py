@@ -1,20 +1,20 @@
 """Analytical packet-loss chain: collision probabilities, loss recursion,
 quadrature over distance, and the capacity solver.
 
-The chain per TX-RX distance r (the collision probabilities also take an
-array of distances and return one value per distance):
-  * success_prob       -- no collision with the background flow of transmissions,
-                          from the exclusion radii thinned by a Poisson line process;
-  * repetition_noncollision_prob -- a repetition avoids the interferer that broke
-                          the first attempt, given they repeat in the same slot;
-  * loss_recursion     -- failure probability over all 1+nu attempts, tracking the
-                          number of interferers known to be mid-repetition;
+The chain per TX-RX distance r (the collision probabilities also take an array):
+  * success_prob -- no collision with the background flow of transmissions,
+    from the exclusion radii thinned by a Poisson line process;
+  * repetition_noncollision_prob -- a repetition avoids the interferer that
+    broke the first attempt, given they repeat in the same slot;
+  * loss_recursion -- failure probability over all 1+nu attempts, tracking
+    the number of interferers known to be mid-repetition;
 then PLR(lambda) integrates the per-distance loss uniformly over (0, R], and
 capacity() inverts it against the QoS bound.
 """
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -23,16 +23,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    TrafficIntensityError,
-    pool_map,
-    transmit_probability,
-    repetition_probability,
-    truncation_depth,
-    validate_config,
-)
+from .config import (ConfigError, ScenarioConfig, TrafficIntensityError, pool_map,
+                     repetition_probability, transmit_probability, truncation_depth,
+                     validate_config)
 from .link import exclusion_radius, overlap_distribution, sinr_no_interference
 
 # Beyond this many geometric terms the recursion table gets unreasonably wide;
@@ -82,14 +75,10 @@ class CapacityResult:
 
     @property
     def flags(self) -> tuple[str, ...]:
-        out = []
-        if self.above_search_limit:
-            out.append("above_search_limit")
-        if self.monotonicity_warning:
-            out.append("nonmonotonic_plr")
-        if self.validity_warning:
-            out.append("model_validity")
-        return tuple(out)
+        named = (("above_search_limit", self.above_search_limit),
+                 ("nonmonotonic_plr", self.monotonicity_warning),
+                 ("model_validity", self.validity_warning))
+        return tuple(name for name, on in named if on)
 
 
 def _interference_weights(config: ScenarioConfig) -> np.ndarray:
@@ -194,14 +183,10 @@ def _binomial_rows(width: int, q: float) -> np.ndarray:
 def _diagonal_index(a: np.ndarray) -> np.ndarray:
     """out[..., c, d] = a[..., c, c - d] for d <= c, and 0 for d > c."""
     w = a.shape[-1]
-    return np.tril(np.take(a.reshape(*a.shape[:-2], w * w), _flat_diagonal(w), axis=-1))
-
-
-@lru_cache(maxsize=8)
-def _flat_diagonal(width: int) -> np.ndarray:
-    """Flat index c * width + (c - d) of a[c, c - d], with c - d clipped at 0."""
-    c = np.arange(width)
-    return c[:, None] * width + np.maximum(c[:, None] - c, 0)
+    c = np.arange(w)
+    # flat index c * w + (c - d) of a[c, c - d], with c - d clipped at 0
+    flat = c[:, None] * w + np.maximum(c[:, None] - c, 0)
+    return np.tril(np.take(a.reshape(*a.shape[:-2], w * w), flat, axis=-1))
 
 
 class _RecursionOperator:
@@ -234,9 +219,15 @@ class _RecursionOperator:
             self.u_from_v[s:] += weight * h.T[:-s]
             self.u_const += weight * h[:, max(width - s, 0):].sum(axis=1)
 
-    def levels(self, p_s: np.ndarray, p_nc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def hy(self, p_nc: np.ndarray) -> np.ndarray:
+        """hy[n] with y_c = p_s * sum_d hy[n, c, d] * v[d]; lambda enters only by the width."""
+        yfac = 1.0 - p_nc[:, None] ** np.arange(self.width)
+        return _diagonal_index((self.g_rep * yfac[:, None, :]) @ self.g_last)
+
+    def levels(self, p_s: np.ndarray, p_nc: np.ndarray,
+               hy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Recursion rows for nodes with success probabilities p_s[n] and
-        repetition non-collision probabilities p_nc[n].
+        repetition non-collision probabilities p_nc[n] (or hy(p_nc), if given).
 
         Returns rows[t, n, c], the failure probability after t attempts with c
         interferers mid-repetition, for t = 0..nu+1, and a per-node flag
@@ -244,10 +235,7 @@ class _RecursionOperator:
         """
         p_s = p_s[:, None]
         clamped = np.full(p_s.shape[0], self.capped)
-        yfac = 1.0 - p_nc[:, None] ** np.arange(self.width)
-        # y_c = p_s * sum_j (g_rep diag(yfac) g_last)[c, j] * v[c - j]; p_nc
-        # does not change between levels, so the per-node matrix is built once
-        hy = _diagonal_index((self.g_rep * yfac[:, None, :]) @ self.g_last)
+        hy = self.hy(p_nc) if hy is None else hy
         rows = [np.ones((p_s.shape[0], self.width))]
         for _ in range(self.nu + 1):
             v = rows[-1]
@@ -259,12 +247,12 @@ class _RecursionOperator:
             rows.append(np.clip(v, 0.0, 1.0))
         return np.stack(rows), clamped
 
-    def plr_r(self, p_s: np.ndarray, p_nc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Failure probability after all 1+nu attempts and the clamp flag,
-        per node, chunk by chunk."""
+    def plr_r(self, p_s: np.ndarray, p_nc: np.ndarray,
+              hy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node plr_r and clamp flag, chunk by chunk; a given hy is all nodes'."""
         values, clamped = [], []
         for lo in range(0, len(p_s), self.chunk):
-            rows, cl = self.levels(p_s[lo:lo + self.chunk], p_nc[lo:lo + self.chunk])
+            rows, cl = self.levels(p_s[lo:lo + self.chunk], p_nc[lo:lo + self.chunk], hy)
             values.append(rows[-1, :, 0])
             clamped.append(cl)
         return np.concatenate(values), np.concatenate(clamped)
@@ -279,10 +267,8 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
     collision probabilities (degenerate-regime checks); by default they are
     computed from the config at distance r.
     """
-    if p_s is None:
-        p_s = success_prob(r, config)
-    if p_nc is None:
-        p_nc = repetition_noncollision_prob(r, config)
+    p_s = success_prob(r, config) if p_s is None else p_s
+    p_nc = repetition_noncollision_prob(r, config) if p_nc is None else p_nc
     op = _RecursionOperator(config, truncation_k)
     rows, clamped = op.levels(np.array([p_s], dtype=float), np.array([p_nc], dtype=float))
     table = rows[:, 0, :]
@@ -295,13 +281,31 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
 PANELS = 4
 POINTS = 16
 
-# capacity's search: decades up from LAMBDA_LO, capped at LAMBDA_CAP, then
-# bisection on log(lambda) down to a bracket ratio of 1 + REL_TOL
+# capacity's search: decades up from LAMBDA_LO, capped at LAMBDA_CAP, then a
+# safeguarded secant on log(lambda) down to a bracket ratio of 1 + REL_TOL
 LAMBDA_LO = 1e-4
 LAMBDA_CAP = 1e6
 REL_TOL = 1e-3
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(POINTS)
+
+
+class _PlrNodes:
+    """plr's lambda-free arrays for one config: nodes, weights, p_nc, hy of one width."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        grids = [(panels, config.range_r / panels) for panels in (PANELS, 2 * PANELS)]
+        # r[i, j] = mid_i + half * x_j with weight w_j * half, grid by grid
+        self.r = np.concatenate([(((np.arange(panels) + 0.5) * width)[:, None]
+                                  + 0.5 * width * _GAUSS_X).ravel() for panels, width in grids])
+        self.weights = [(np.tile(_GAUSS_W, n) * (0.5 * width)).tolist() for n, width in grids]
+        self.p_nc = np.broadcast_to(repetition_noncollision_prob(self.r, config), self.r.shape)
+        self.hy_width, self.hy = 0, None
+
+
+# the running capacity solve's nodes, for its plr calls; unset outside a solve
+_SOLVE_NODES: ContextVar[_PlrNodes | None] = ContextVar("_SOLVE_NODES", default=None)
 
 
 def plr(lambda_rate: float, config: ScenarioConfig, *,
@@ -311,68 +315,66 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     Composite Gauss-Legendre quadrature on PANELS and on 2 * PANELS panels
     of (0, R], with the recursion run on the nodes of both grids at once;
     the reported value is the finer estimate and the error estimate is the
-    difference between the two.
+    difference between the two.  Inside a capacity solve on this config the
+    lambda-free node arrays are the solve's, with the same result bit for bit.
     """
     if not 0.0 < lambda_rate < math.inf:
         raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")
+    nodes = _SOLVE_NODES.get()
+    nodes = nodes if nodes is not None and nodes.config is config else _PlrNodes(config)
     cfg = config.with_lambda(lambda_rate)
-    r_max = cfg.range_r
-    panel_counts = (PANELS, 2 * PANELS)
-    widths = [r_max / panels for panels in panel_counts]
-    # nodes[i, j] = mid_i + half * x_j, grid by grid, summed panel by panel
-    # as a double loop would
-    nodes = np.concatenate([(((np.arange(panels) + 0.5) * width)[:, None]
-                             + 0.5 * width * _GAUSS_X).ravel()
-                            for panels, width in zip(panel_counts, widths)])
-    _, p_s, p_nc = np.broadcast_arrays(nodes, success_prob(nodes, cfg),
-                                       repetition_noncollision_prob(nodes, cfg))
-    values, clamped = _RecursionOperator(cfg, truncation_k).plr_r(p_s, p_nc)
-    estimates = []
-    for panels, width, grid in zip(panel_counts, widths,
-                                   np.split(values, [PANELS * POINTS])):
-        half = 0.5 * width
-        total = 0.0
-        for wj, value in zip(np.tile(_GAUSS_W, panels).tolist(), grid.tolist()):
-            total += wj * half * value
-        estimates.append(total / r_max)
-    coarse, fine = estimates
-    return PlrCurvePoint(
-        lambda_rate=lambda_rate,
-        plr=float(fine),
-        error_estimate=float(abs(fine - coarse)),
-        validity_warning=bool(clamped.any()),
-    )
+    p_s = np.broadcast_to(success_prob(nodes.r, cfg), nodes.r.shape)
+    op = _RecursionOperator(cfg, truncation_k)
+    if op.width != nodes.hy_width:  # hy is kept only if it fits the chunk bound
+        nodes.hy_width, nodes.hy = op.width, op.hy(nodes.p_nc) if op.chunk >= len(p_s) else None
+    values, clamped = op.plr_r(p_s, nodes.p_nc, nodes.hy)
+    # summed node by node, in order
+    coarse, fine = (sum(w * value for w, value in zip(wts, grid.tolist())) / config.range_r
+                    for wts, grid in zip(nodes.weights, np.split(values, [PANELS * POINTS])))
+    return PlrCurvePoint(lambda_rate, plr=float(fine), error_estimate=float(abs(fine - coarse)),
+                         validity_warning=bool(clamped.any()))
 
 
 def capacity(config: ScenarioConfig) -> CapacityResult:
     """Largest load whose loss rate stays within the QoS bound.
 
-    Decade expansion from LAMBDA_LO finds a one-decade bracket, which
-    bisection on log(lambda) narrows to REL_TOL.  Loads that break the model
-    (p >= 1) count as infeasible.  Every PLR the search evaluates is kept:
-    PLR monotonicity in lambda is checked on those samples and flagged, not
-    assumed, and the validity flag is that of the returned capacity's PLR.
+    Decades from LAMBDA_LO bracket it; an Illinois secant on log PLR vs log
+    lambda then narrows the bracket to REL_TOL, each load at least
+    log(1 + REL_TOL) / 2 inside it.  A step bisects after two secant steps in a
+    row that failed to halve the log-bracket, or at an end with no finite log
+    PLR (PLR = 0, or p >= 1: infeasible).  So at most 11 + 3 * 12 loads, and
+    typically 5-12.  Monotonicity is checked on the PLR samples and flagged,
+    not assumed; the validity flag is that of the returned capacity's PLR.
     """
     samples: dict[float, PlrCurvePoint] = {}
 
-    def feasible(lam: float) -> bool:
-        if config.plr_target >= 1.0:
-            return True
+    def excess(lam: float) -> float:  # log(PLR / target), <= 0 where lam is feasible
         try:
             samples[lam] = plr(lam, config)
         except TrafficIntensityError:
-            return False
-        return samples[lam].plr <= config.plr_target
+            return math.inf
+        value = samples[lam].plr
+        return math.log(value / config.plr_target) if value > 0.0 else -math.inf
 
-    lo, hi = 0.0, LAMBDA_LO
-    while lo < LAMBDA_CAP and feasible(hi):
-        lo, hi = hi, min(hi * 10.0, LAMBDA_CAP)
-    while lo > 0.0 and hi / lo > 1.0 + REL_TOL:
-        mid = math.sqrt(lo * hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+    token = _SOLVE_NODES.set(_PlrNodes(config))
+    try:
+        lo, hi, f_lo = 0.0, LAMBDA_LO, -math.inf
+        while lo < LAMBDA_CAP and (f_hi := excess(hi)) <= 0.0:
+            lo, hi, f_lo = hi, min(hi * 10.0, LAMBDA_CAP), f_hi
+        guard, kept, stalls = 0.5 * math.log1p(REL_TOL), "", 0
+        while lo > 0.0 and hi / lo > 1.0 + REL_TOL:
+            a, b = math.log(lo), math.log(hi)
+            secant = stalls < 2 and math.isfinite(f_lo) and math.isfinite(f_hi)
+            x = b - f_hi * (b - a) / (f_hi - f_lo) if secant else 0.5 * (a + b)
+            mid = math.exp(min(max(x, a + guard), b - guard))
+            # Illinois: the excess of an end kept twice in a row is halved
+            if (f_mid := excess(mid)) <= 0.0:
+                lo, f_lo, f_hi, kept = mid, f_mid, f_hi / (2.0 if kept == "hi" else 1.0), "hi"
+            else:
+                hi, f_hi, f_lo, kept = mid, f_mid, f_lo / (2.0 if kept == "lo" else 1.0), "lo"
+            stalls = stalls + 1 if secant and math.log(hi / lo) > 0.5 * (b - a) else 0
+    finally:
+        _SOLVE_NODES.reset(token)
 
     values = np.array([samples[lam].plr for lam in sorted(samples)])
     nonmonotonic = np.any(np.diff(values) < -1e-9 * np.maximum(np.abs(values[:-1]), 1e-300))
@@ -396,5 +398,4 @@ def capacity_sweep(config: ScenarioConfig, grid: Mapping[str, Sequence], *,
     if "lambda_rate" in grid:
         raise ValueError("lambda_rate is the quantity capacity solves for; it cannot be swept")
     combos = [dict(zip(grid, values)) for values in product(*grid.values())]
-    payloads = [(config, overrides) for overrides in combos]
-    return list(zip(combos, pool_map(_sweep_worker, payloads, workers)))
+    return list(zip(combos, pool_map(_sweep_worker, [(config, o) for o in combos], workers)))

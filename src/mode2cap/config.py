@@ -133,18 +133,31 @@ def _coerce_unit(name: str, value: Any) -> float:
     linear_key, log_key, conv = _UNIT_FIELDS[name]
     if isinstance(value, Mapping):
         if set(value.keys()) == {linear_key}:
-            return float(value[linear_key])
+            return float_field(name, value[linear_key])
         if set(value.keys()) == {log_key}:
-            return conv(float(value[log_key]))
+            return conv(float_field(name, value[log_key]))
         raise ConfigError(
             f"{name}: expected {{'{linear_key}': x}} or {{'{log_key}': x}}, got {dict(value)!r}"
         )
-    return float(value)
+    return float_field(name, value)
+
+
+def float_field(name: str, value: Any) -> float:
+    """value as a float, if it is a number other than a bool; ConfigError
+    naming the field otherwise."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
 def integer_field(name: str, value: Any) -> int:
-    """value as an int, if it is one (2.0 gives 2); ConfigError naming the
-    field otherwise."""
+    """value as an int, if it is one (2.0 gives 2) and not a bool; ConfigError
+    naming the field otherwise."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         ival = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -173,13 +186,13 @@ def validate_config(raw: Mapping[str, Any] | ScenarioConfig) -> ScenarioConfig:
     for key, value in raw.items():
         if key in _INT_FIELDS:
             kwargs[key] = integer_field(key, value)
-            continue
-        try:
-            kwargs[key] = _coerce_unit(key, value) if key in _UNIT_FIELDS else float(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        elif key not in _UNIT_FIELDS:
+            kwargs[key] = float_field(key, value)
+        else:
+            try:
+                kwargs[key] = _coerce_unit(key, value)
+            except OverflowError as exc:  # a {"dbm": x} too large to convert
+                raise ConfigError(f"{key} must be a number, got {value!r}") from exc
     cfg = ScenarioConfig(**kwargs)
 
     for f in fields(ScenarioConfig):

@@ -19,7 +19,8 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, integer_field, pool_map, validate_config
+from .config import (ConfigError, ScenarioConfig, float_field, integer_field, pool_map,
+                     validate_config)
 from .link import effective_sinr, pathloss, pathloss_distance
 
 LOSS_HALF_DUPLEX = "half_duplex"
@@ -102,8 +103,11 @@ class _RepResult:
 def validate_sim_config(sim_config: SimConfig) -> SimConfig:
     counts = {name: integer_field(name, getattr(sim_config, name))
               for name in ("num_ues", "num_slots", "replications", "seed")}
+    cutoff = sim_config.interference_cutoff
+    if cutoff is not None:
+        cutoff = float_field("interference_cutoff", cutoff)
     sc = validate_config(sim_config.scenario)
-    cfg = replace(sim_config, scenario=sc, **counts)
+    cfg = replace(sim_config, scenario=sc, interference_cutoff=cutoff, **counts)
     if cfg.num_ues < 2:
         raise ConfigError("num_ues out of range (need at least 2)")
     if cfg.num_slots < sc.window_w:

@@ -14,6 +14,7 @@ import mode2cap
 from mode2cap import (
     ConfigError,
     PlrCurvePoint,
+    TrafficIntensityError,
     capacity,
     capacity_sweep,
     exclusion_radius,
@@ -26,7 +27,11 @@ from mode2cap import (
     truncation_depth,
 )
 from mode2cap.analytic import (
+    _SOLVE_NODES,
+    LAMBDA_CAP,
+    LAMBDA_LO,
     MAX_TRUNCATION_DEPTH,
+    REL_TOL,
     _binomial_rows,
     _diagonal_index,
     _noncollision_from_profile,
@@ -380,12 +385,12 @@ class TestCapacity:
 
     def test_dip_on_a_sampled_load_is_flagged(self, scenario, monkeypatch):
         # PLR = lambda / 50 meets 1e-2 up to lambda = 0.5, so the search
-        # samples the decades 1e-4..1 and then bisects within (0.1, 1); the
-        # dipped PLR is 100 times lower near lambda = 0.1 only, where it
-        # stays feasible, so the search takes the same steps
+        # samples the decades 1e-4..1 and then narrows (0.1, 1); the dipped
+        # PLR is 100 times lower near lambda = 0.01 only, a sampled decade
+        # below that bracket, so the search takes the same steps
         def fake(dip):
             def plr_fake(lam, cfg):
-                value = lam / 50.0 * (0.01 if dip and 0.05 < lam < 0.2 else 1.0)
+                value = lam / 50.0 * (0.01 if dip and 0.005 < lam < 0.02 else 1.0)
                 return PlrCurvePoint(lam, value, 0.0)
             return plr_fake
 
@@ -410,10 +415,80 @@ class TestCapacity:
         monkeypatch.setattr("mode2cap.analytic.plr", counting)
         result = capacity(cfg)
         assert len(loads) == len(set(loads))
-        # the 7 decades 1e-4..1e2 bracket the capacity; at most 12 halvings
-        # of log(lambda) shrink one decade below a ratio of 1.001
+        # the 7 decades 1e-4..1e2 bracket the capacity, and the secant
+        # closes the bracket in at most 5 more loads here
         assert 10.0 < result.capacity < 100.0
-        assert len(loads) <= 7 + 12
+        assert len(loads) <= 12
+
+    @pytest.mark.parametrize("nu", range(9))
+    @pytest.mark.parametrize("target", [1e-2, 1e-5])
+    def test_optimal_nu_solves_take_at_most_12_loads(self, monkeypatch, nu, target):
+        # the nu sweep of criterion 6 and the optimal-nu benchmark
+        cfg = make_scenario(num_subchannels_b=10, repetitions_nu=nu, plr_target=target)
+        loads = []
+
+        def counting(lam, config):
+            loads.append(lam)
+            return plr(lam, config)
+
+        monkeypatch.setattr("mode2cap.analytic.plr", counting)
+        capacity(cfg)
+        assert len(loads) <= 12
+
+    @pytest.mark.parametrize("shape", ["steep", "jump", "model_edge"])
+    def test_hard_plr_shapes_end_within_worst_case(self, scenario, monkeypatch, shape):
+        # steep: PLR = target * (lambda / 3.7)^60; jump: PLR steps from
+        # target / 10 to 10 * target at 3.7; model_edge: PLR = target / 2 up
+        # to 3.7 and no PLR (p >= 1) above, which only bisection can narrow
+        target, knee = 1e-5, 3.7
+        cfg = replace(scenario, plr_target=target)
+        loads = []
+
+        def plr_fake(lam, config):
+            loads.append(lam)
+            if shape == "steep":
+                return PlrCurvePoint(lam, target * (lam / knee) ** 60, 0.0)
+            if lam <= knee:
+                return PlrCurvePoint(lam, target / (10.0 if shape == "jump" else 2.0), 0.0)
+            if shape == "jump":
+                return PlrCurvePoint(lam, 10.0 * target, 0.0)
+            raise TrafficIntensityError("traffic too intense for model (p >= 1)")
+
+        monkeypatch.setattr("mode2cap.analytic.plr", plr_fake)
+        cap = capacity(cfg).capacity
+        # 11 decades 1e-4..1e6, then at most 3 loads per halving of a decade's
+        # log width, of which 12 take it below log(1 + REL_TOL)
+        decades = round(math.log10(LAMBDA_CAP / LAMBDA_LO)) + 1
+        halvings = math.ceil(math.log2(math.log(10.0) / math.log1p(REL_TOL)))
+        assert (decades, halvings) == (11, 12)
+        assert len(loads) <= decades + 3 * halvings
+        assert plr_fake(cap, cfg).plr <= target
+        try:
+            above = plr_fake(cap * (1.0 + REL_TOL), cfg).plr
+        except TrafficIntensityError:
+            above = math.inf
+        assert above > target
+
+    @pytest.mark.parametrize("nu, target", [(2, 1e-5), (8, 1e-2)])
+    def test_plr_inside_a_solve_equals_standalone(self, monkeypatch, nu, target):
+        # the solve's plr calls share its node arrays; a call on another
+        # config inside the solve must not
+        cfg = make_scenario(num_subchannels_b=10, repetitions_nu=nu, plr_target=target)
+        other = replace(cfg, num_subchannels_b=12)
+        inside = []
+
+        def recording(lam, config):
+            inside.append((lam, plr(lam, config), plr(lam, other)))
+            return inside[-1][1]
+
+        monkeypatch.setattr("mode2cap.analytic.plr", recording)
+        result = capacity(cfg)
+        monkeypatch.undo()
+        assert _SOLVE_NODES.get() is None
+        assert result.capacity in [lam for lam, _, _ in inside]
+        for lam, point, point_other in inside:
+            assert point == plr(lam, cfg)
+            assert point_other == plr(lam, other)
 
     @pytest.mark.parametrize("nu, flagged", [(8, True), (2, False)])
     def test_validity_is_that_of_the_capacity_point(self, nu, flagged):

@@ -60,7 +60,9 @@ class TestPlrCommand:
         ("num_subchannels_b", None),
         ("tx_power_s", {"dbm": "x"}),
         ("phi", [1]),
-    ], ids=["string", "null", "unit_string", "list"])
+        ("num_subchannels_b", True),
+        ("phi", True),
+    ], ids=["string", "null", "unit_string", "list", "bool_integer", "bool_number"])
     def test_malformed_config_value_exits_2_and_names_key(self, tmp_path, key, value):
         cfg = write_config(tmp_path, **{key: value})
         out = invoke("plr", "--config", cfg, "--lambda", "1")

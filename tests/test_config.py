@@ -55,10 +55,25 @@ class TestValidation:
         ("packet_width_m", math.nan, "packet_width_m must be an integer"),
         ("repetitions_nu", math.inf, "repetitions_nu must be an integer"),
         ("lambda_rate", "abc", "lambda_rate must be a number"),
+        ("num_subchannels_b", True, "num_subchannels_b must be an integer"),
+        ("phi", True, "phi must be a number"),
     ])
     def test_invariants_named_in_errors(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             validate_config(ScenarioConfig(**{field: value}))
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"num_subchannels_b": True}, "num_subchannels_b must be an integer"),
+        ({"packet_width_m": False}, "packet_width_m must be an integer"),
+        ({"repetitions_nu": True}, "repetitions_nu must be an integer"),
+        ({"phi": True}, "phi must be a number"),
+        ({"tx_power_s": {"dbm": True}}, "tx_power_s must be a number"),
+        ({"noise_sigma": True}, "noise_sigma must be a number"),
+    ])
+    def test_json_booleans_are_not_numbers(self, raw, message):
+        # bool is an int subclass, so True would otherwise read as 1
+        with pytest.raises(ConfigError, match=message):
+            validate_config(raw)
 
     def test_dataclass_and_mapping_coerced_alike(self):
         # an integral float is normalised to int on both input paths

@@ -76,12 +76,20 @@ class TestValidation:
         ("replications", 2.5),
         ("seed", 5.5),
         ("seed", None),
+        ("interference_cutoff", "abc"),
+        ("interference_cutoff", True),
+        ("replications", True),
     ])
     def test_nan_cutoff_and_non_integral_counts_rejected(self, field, value):
         # a nan cutoff would silently drop every interferer (dist <= nan is
-        # false); a non-integral count would fail later inside numpy
+        # false); a non-integral count would fail later inside numpy; a
+        # string cutoff would fail on its first comparison; a bool is no number
         with pytest.raises(ConfigError, match=field):
             validate_sim_config(small_sim(**{field: value}))
+
+    def test_numeric_string_cutoff_coerced(self):
+        cfg = validate_sim_config(small_sim(interference_cutoff="300"))
+        assert cfg.interference_cutoff == 300.0 and cfg.resolved_cutoff() == 300.0
 
     def test_integral_counts_normalised_and_inf_cutoff_kept(self):
         cfg = validate_sim_config(small_sim(num_ues=150.0, seed=5.0,
