@@ -20,6 +20,7 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     TrafficIntensityError,
+    json_value,
     pool_map,
     validate_config,
 )
@@ -124,10 +125,11 @@ def format_value(value) -> str:
 
 
 def emit_rows(columns: Sequence[str], rows: Sequence[Sequence], args) -> None:
-    """Write rows as CSV (17 significant digits, LF endings) or JSON."""
+    """Write rows as CSV (17 significant digits, LF endings) or JSON, where a
+    nan or infinite value is null."""
     if args.format == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        payload = [{col: json_value(v) for col, v in zip(columns, row)} for row in rows]
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         lines = [",".join(columns)]
         lines += [",".join(format_value(v) for v in row) for row in rows]

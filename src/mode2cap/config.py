@@ -1,6 +1,6 @@
 """Scenario configuration, unit conversion, derived protocol constants, and
-the process-pool fan-out that sweeps, PLR curves and simulator replications
-share.
+the fan-out that sweeps, PLR curves and simulator replications share: one
+process pool per process, reused from call to call.
 
 Everything downstream (analytic chain and simulator) works in SI linear
 units: watts, meters, seconds, linear power ratios.  dB / dBm values are
@@ -8,8 +8,10 @@ accepted only at the config boundary and converted here.
 """
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import math
+import threading
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping, Sequence
 
@@ -167,6 +169,11 @@ def integer_field(name: str, value: Any) -> int:
     return ival
 
 
+def json_value(value: Any) -> Any:
+    """value, or None for a float nan or infinity, which RFC 8259 JSON lacks."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def validate_config(raw: Mapping[str, Any] | ScenarioConfig) -> ScenarioConfig:
     """Check every invariant and return an immutable, unit-normalized config.
 
@@ -223,16 +230,39 @@ def validate_config(raw: Mapping[str, Any] | ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
+_pool: tuple[int, concurrent.futures.Executor] | None = None  # (size, executor)
+_pool_lock = threading.Lock()
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Shut the shared pool down, joining its workers, if there is one."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
 def pool_map(worker: Callable, payloads: Sequence, workers: int) -> list:
     """worker(*payload) for every payload tuple, in input order.
 
     Runs in this process when workers == 1 or there is a single payload;
-    otherwise on a process pool of min(workers, len(payloads)) processes,
-    started for this call with the platform's default start method and shut
-    down before returning.  worker and payloads must be picklable.
+    otherwise on the process's one pool of min(workers, len(payloads))
+    processes, started with the platform's default start method at the first
+    call that needs it and replaced when a call needs another size or after
+    it broke (BrokenProcessPool).  Its workers see module state as it was
+    when it started.  worker and payloads must be picklable.
     """
-    if workers > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(payloads))) as pool:
-            return list(pool.map(worker, *zip(*payloads)))
-    return [worker(*p) for p in payloads]
+    global _pool
+    if workers < 2 or len(payloads) < 2:
+        return [worker(*p) for p in payloads]
+    size = min(workers, len(payloads))
+    with _pool_lock:
+        if _pool is None or _pool[0] != size:
+            _shutdown_pool()
+            _pool = (size, concurrent.futures.ProcessPoolExecutor(max_workers=size))
+        try:
+            return list(_pool[1].map(worker, *zip(*payloads)))
+        except concurrent.futures.BrokenExecutor:  # BrokenProcessPool
+            _shutdown_pool()
+            raise

@@ -19,8 +19,8 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .config import (ConfigError, ScenarioConfig, float_field, integer_field, pool_map,
-                     validate_config)
+from .config import (ConfigError, ScenarioConfig, float_field, integer_field, json_value,
+                     pool_map, validate_config)
 from .link import effective_sinr, pathloss, pathloss_distance
 
 LOSS_HALF_DUPLEX = "half_duplex"
@@ -65,7 +65,9 @@ class SimReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """to_dict() as RFC 8259 JSON: a nan or infinite field becomes null."""
+        data = {key: json_value(value) for key, value in self.to_dict().items()}
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,6 +19,13 @@ def write_config(tmp_path, **fields):
     return str(path)
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON lacks."""
+    def reject(name):
+        raise ValueError(f"not RFC 8259 JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def parse_csv(text):
     lines = text.splitlines()
     header = lines[0].split(",")
@@ -175,6 +182,14 @@ class TestSimulateCommand:
             "losses", "half_duplex_losses", "interference_losses", "seed"}
         assert report["seed"] == 3
 
+    def test_single_replication_writes_null_interval(self):
+        out = invoke("simulate", "--num-ues", "120", "--slots", "3000",
+                     "--replications", "1")
+        assert out.returncode == 0
+        report = strict_json(out.stdout)
+        assert report["confidence_interval_95"] is None
+        assert report["plr_estimate"] > 0.0
+
     def test_zero_replications_usage_error(self):
         out = invoke("simulate", "--replications", "0", "--num-ues", "120",
                      "--slots", "3000")
@@ -229,6 +244,15 @@ class TestValidateCommand:
         assert out.returncode == 0
         _, rows = parse_csv(out.stdout)
         assert rows[0][5] == "below_measurable"
+
+    def test_json_writes_null_for_undefined_ratio(self):
+        out = invoke("validate", "--lambda", "0.02", "--num-ues", "150",
+                     "--slots", "3000", "--replications", "1", "--format", "json")
+        assert out.returncode == 0
+        row, = strict_json(out.stdout)
+        assert row["plr_sim"] == 0.0
+        assert row["ratio"] is None and row["ci"] is None
+        assert row["flag"] == "below_measurable"
 
     @pytest.mark.parametrize("value", ["0", "-5", "nan"])
     def test_nonpositive_or_nan_load_exits_2_and_names_value(self, value):

@@ -1,5 +1,12 @@
 import concurrent.futures
+import concurrent.futures.process
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +24,7 @@ from mode2cap import (
     validate_config,
     watts_to_dbm,
 )
+from mode2cap import config
 from mode2cap.config import pool_map
 
 from conftest import make_scenario
@@ -188,12 +196,6 @@ class _RecordingPool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, *iterables):
         return map(fn, *iterables)
 
@@ -201,6 +203,10 @@ class _RecordingPool:
 class TestPoolMap:
     @pytest.fixture
     def pool(self, monkeypatch):
+        # hide the shared pool an earlier test may have started, so the
+        # stand-in is built, and put the real one back after the test, so
+        # the stand-in is never cached for a later test
+        monkeypatch.setattr(config, "_pool", None)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         return _RecordingPool
@@ -216,3 +222,72 @@ class TestPoolMap:
         payloads = [(i, 3) for i in range(n)]
         assert pool_map(divmod, payloads, workers) == [divmod(i, 3) for i in range(n)]
         assert pool.sizes == []
+
+
+def _pid_after(seconds):
+    """This worker's pid, after a pause long enough that a second idle
+    worker takes the next payload."""
+    time.sleep(seconds)
+    return os.getpid()
+
+
+class TestSharedPool:
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self):
+        config._shutdown_pool()
+        yield
+        config._shutdown_pool()
+
+    def test_successive_calls_run_in_the_same_workers(self):
+        first = pool_map(_pid_after, [(0.2,), (0.2,)], 2)
+        second = pool_map(_pid_after, [(0.2,), (0.2,)], 2)
+        assert len(set(first)) == 2
+        assert set(second) == set(first)
+
+    def test_other_size_replaces_the_pool_and_never_exceeds_payloads(self):
+        # active_children also counts the workers of a pool not yet joined
+        pool_map(_pid_after, [(0.0,), (0.0,)], 8)
+        two = config._pool[1]
+        assert len(multiprocessing.active_children()) <= 2
+        pids = pool_map(_pid_after, [(0.2,)] * 3, 3)
+        assert config._pool[1] is not two and len(set(pids)) == 3
+        assert len(multiprocessing.active_children()) == 3
+        pool_map(_pid_after, [(0.0,)] * 5, 2)
+        assert len(multiprocessing.active_children()) <= 2
+
+    def test_worker_exception_reaches_caller_and_pool_stays_usable(self):
+        with pytest.raises(ZeroDivisionError):
+            pool_map(divmod, [(1, 0), (1, 1)], 2)
+        pool = config._pool[1]
+        assert pool_map(divmod, [(7, 2), (9, 4)], 2) == [(3, 1), (2, 1)]
+        assert config._pool[1] is pool
+
+    def test_dead_worker_breaks_the_call_and_the_next_starts_afresh(self):
+        with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+            pool_map(os._exit, [(1,), (1,)], 2)
+        assert config._pool is None
+        assert pool_map(divmod, [(7, 2), (9, 4)], 2) == [(3, 1), (2, 1)]
+
+    def test_cli_process_exits_cleanly_and_leaves_no_worker(self):
+        # validate runs one 2-worker simulation per load, on one pool; the
+        # process runs in its own group, which its workers join
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mode2cap", "validate", "--lambda", "10,20",
+             "--num-ues", "200", "--slots", "3000", "--replications", "2",
+             "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 0
+        assert err == ""
+        assert len(out.splitlines()) == 3
+        try:  # a worker left in the group is a failure; take it down too
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            return
+        pytest.fail("a pool worker outlived the CLI process")
