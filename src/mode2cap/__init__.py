@@ -21,6 +21,7 @@ from .link import (
     overlap_distribution,
     pathloss,
     pathloss_distance,
+    reception_breakpoints,
     sinr_no_interference,
 )
 from .analytic import (

@@ -26,7 +26,8 @@ from numpy.typing import ArrayLike
 from .config import (ConfigError, ScenarioConfig, TrafficIntensityError, pool_map,
                      repetition_probability, transmit_probability, truncation_depth,
                      validate_config)
-from .link import exclusion_radius, overlap_distribution, sinr_no_interference
+from .link import (exclusion_radius, overlap_distribution, reception_breakpoints,
+                   sinr_no_interference)
 
 # Beyond this many geometric terms the recursion table gets unreasonably wide;
 # capping trades a tail below p**256 for bounded memory and flags the result.
@@ -276,18 +277,17 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
                           truncation_k=op.k, clamped=bool(clamped[0]), values=table)
 
 
-# plr's quadrature: composite Gauss-Legendre with POINTS nodes per panel, on
-# PANELS and then 2 * PANELS panels of (0, R]
-PANELS = 4
-POINTS = 16
-
 # capacity's search: decades up from LAMBDA_LO, capped at LAMBDA_CAP, then a
 # safeguarded secant on log(lambda) down to a bracket ratio of 1 + REL_TOL
 LAMBDA_LO = 1e-4
 LAMBDA_CAP = 1e6
 REL_TOL = 1e-3
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(POINTS)
+# plr's quadrature: a 24- and a 32-node Gauss-Legendre rule on each piece of
+# (0, R] between the link's breakpoints, inside which the loss is smooth (the
+# reference scenario has none: one piece, 56 nodes); the 32-node sum is
+# reported and its distance from the 24-node sum is the error estimate
+_RULES = [np.polynomial.legendre.leggauss(n) for n in (24, 32)]
 
 
 class _PlrNodes:
@@ -295,11 +295,12 @@ class _PlrNodes:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        grids = [(panels, config.range_r / panels) for panels in (PANELS, 2 * PANELS)]
-        # r[i, j] = mid_i + half * x_j with weight w_j * half, grid by grid
-        self.r = np.concatenate([(((np.arange(panels) + 0.5) * width)[:, None]
-                                  + 0.5 * width * _GAUSS_X).ravel() for panels, width in grids])
-        self.weights = [(np.tile(_GAUSS_W, n) * (0.5 * width)).tolist() for n, width in grids]
+        ends = np.array([0.0, *(b for b in reception_breakpoints(config)
+                                if 0.0 < b < config.range_r), config.range_r])
+        mid, half = (0.5 * (ends[1:] + ends[:-1]))[:, None], (0.5 * np.diff(ends))[:, None]
+        # r[i, j] = mid_i + half_i * x_j with weight half_i * w_j, rule by rule
+        self.r = np.concatenate([(mid + half * x).ravel() for x, _ in _RULES])
+        self.weights = [(half * w).ravel().tolist() for _, w in _RULES]
         self.p_nc = np.broadcast_to(repetition_noncollision_prob(self.r, config), self.r.shape)
         self.hy_width, self.hy = 0, None
 
@@ -312,10 +313,12 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
         truncation_k: int | None = None) -> PlrCurvePoint:
     """Packet loss rate at the given load, integrated uniformly over distance.
 
-    Composite Gauss-Legendre quadrature on PANELS and on 2 * PANELS panels
-    of (0, R], with the recursion run on the nodes of both grids at once;
-    the reported value is the finer estimate and the error estimate is the
-    difference between the two.  Inside a capacity solve on this config the
+    Gauss-Legendre rules of 24 and 32 nodes on each piece of (0, R] between
+    the link's reception breakpoints, with the recursion run on the nodes of
+    both rules at once; the reported value is the 32-node sum and the error
+    estimate its difference from the 24-node sum.  The validity flag is set
+    when the recursion clamped at some node, so it samples the load's clamped
+    region at the nodes only.  Inside a capacity solve on this config the
     lambda-free node arrays are the solve's, with the same result bit for bit.
     """
     if not 0.0 < lambda_rate < math.inf:
@@ -329,8 +332,8 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
         nodes.hy_width, nodes.hy = op.width, op.hy(nodes.p_nc) if op.chunk >= len(p_s) else None
     values, clamped = op.plr_r(p_s, nodes.p_nc, nodes.hy)
     # summed node by node, in order
-    coarse, fine = (sum(w * value for w, value in zip(wts, grid.tolist())) / config.range_r
-                    for wts, grid in zip(nodes.weights, np.split(values, [PANELS * POINTS])))
+    coarse, fine = (sum(w * value for w, value in zip(wts, rule.tolist())) / config.range_r
+                    for wts, rule in zip(nodes.weights, np.split(values, [len(nodes.weights[0])])))
     return PlrCurvePoint(lambda_rate, plr=float(fine), error_estimate=float(abs(fine - coarse)),
                          validity_warning=bool(clamped.any()))
 

@@ -99,6 +99,25 @@ def exclusion_radius(r: ArrayLike, m_overlap: ArrayLike,
     return np.where(xi >= 1.0, 0.0, np.where(unbounded, math.inf, radius))[()]
 
 
+def reception_breakpoints(config: ScenarioConfig) -> tuple[float, ...]:
+    """Distances at which reception changes regime, in ascending order.
+
+    r_T, where the noise-only SINR falls to T: beyond it the full overlap M
+    has an unbounded exclusion radius.  And, for each overlap m < M with
+    (M/m) e^(-T/gamma) > 1, the distance where its exclusion radius leaves 0
+    (xi = 1 in `exclusion_radius`), at SINR0 =
+    -gamma * ln(((M/m) e^(-T/gamma) - 1) / (M/m - 1)).  Between them the
+    collision probabilities are smooth in r.
+    """
+    m_w, gamma = config.packet_width_m, config.eesm_gamma
+    clean = math.exp(-config.sinr_threshold_t / gamma)
+    sinrs = [config.sinr_threshold_t] + [
+        -gamma * math.log((m_w / m * clean - 1.0) / (m_w / m - 1.0))
+        for m in range(1, m_w) if m_w / m * clean > 1.0]
+    gain = m_w * config.noise_sigma / config.tx_power_s
+    return tuple(sorted(float(pathloss_distance(s * gain, config)) for s in sinrs))
+
+
 def effective_sinr(per_subchannel_sinr: ArrayLike, gamma: float) -> float | np.ndarray:
     """EESM collapse of per-subchannel SINRs (the last axis) into one
     effective SINR.

@@ -3,8 +3,9 @@
 Each one reaches a quantity of the package by a different route than the
 package does: brute-force enumeration, a series before its closed form, a
 per-distance profile record, the SINR against one interferer and the EESM
-test of one packet, the loss recursion one distance at a time, or the
-simulator's reception as one slot-by-slot loop over per-packet records.
+test of one packet, the loss recursion one distance at a time, PLR on a
+fixed composite quadrature grid, or the simulator's reception as one
+slot-by-slot loop over per-packet records.
 """
 from __future__ import annotations
 
@@ -18,8 +19,11 @@ from scipy import stats
 from mode2cap import (
     ScenarioConfig,
     exclusion_radius,
+    loss_recursion,
     overlap_distribution,
+    repetition_noncollision_prob,
     repetition_probability,
+    success_prob,
     transmit_probability,
 )
 from mode2cap.link import effective_sinr, pathloss
@@ -175,6 +179,25 @@ def loss_recursion_per_node(p_s: float, p_nc: float, config: ScenarioConfig,
         v_prev = np.clip(v, 0.0, 1.0)
         rows.append(v_prev)
     return np.vstack(rows), clamped
+
+
+
+def plr_composite(lambda_rate: float, config: ScenarioConfig, panels: int = 8,
+                  points: int = 16) -> float:
+    """PLR by composite Gauss-Legendre quadrature on `panels` equal panels of
+    (0, R], with `points` nodes each and `loss_recursion` run one node at a
+    time.  With no breakpoint inside (0, R] the loss is analytic there, and
+    the default 8 x 16 rule is exact to about 1e-10 relative.
+    """
+    cfg = config.with_lambda(lambda_rate)
+    x, w = np.polynomial.legendre.leggauss(points)
+    half = 0.5 * cfg.range_r / panels
+    r = ((2.0 * np.arange(panels) + 1.0)[:, None] * half + half * x).ravel()
+    p_s = np.broadcast_to(success_prob(r, cfg), r.shape)
+    p_nc = np.broadcast_to(repetition_noncollision_prob(r, cfg), r.shape)
+    values = [loss_recursion(ri, cfg, p_s=a, p_nc=b).plr_r
+              for ri, a, b in zip(r.tolist(), p_s.tolist(), p_nc.tolist())]
+    return float(np.dot(np.tile(w, panels), values)) * half / cfg.range_r
 
 
 class _Packet:

@@ -306,7 +306,7 @@ def test_criterion_8_property_suite():
         point = plr(lam, cfg)
         quad_ok = point.error_estimate <= 1e-3 * point.plr
         ok = ok and quad_ok
-        details.append(f"panel halving at lam={lam:g}: "
+        details.append(f"two-rule estimate at lam={lam:g}: "
                        f"{point.error_estimate / point.plr:.1e}<1e-3")
 
     sim_cfg = SimConfig(scenario=pinned(lambda_rate=20.0), num_ues=150,

@@ -2,13 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import mode2cap
 from mode2cap import (
@@ -21,6 +22,7 @@ from mode2cap import (
     loss_recursion,
     overlap_distribution,
     plr,
+    reception_breakpoints,
     repetition_noncollision_prob,
     success_prob,
     transmit_probability,
@@ -35,11 +37,12 @@ from mode2cap.analytic import (
     _binomial_rows,
     _diagonal_index,
     _noncollision_from_profile,
+    _PlrNodes,
     _RecursionOperator,
 )
 
 from conftest import make_scenario
-from oracles import loss_recursion_per_node, success_prob_series
+from oracles import loss_recursion_per_node, plr_composite, success_prob_series
 
 
 class TestSuccessProb:
@@ -249,7 +252,7 @@ class TestBatchedRecursion:
         (dict(repetitions_nu=8), 1.0),
         # overload: with reception this poor some nodes clamp and some do not
         (dict(repetitions_nu=2, lambda_rate=50.0), 0.25),
-        # beyond 250 m noise alone breaks reception, so p_s = 0 there
+        # beyond 203 m noise alone breaks reception, so p_s = 0 there
         (dict(repetitions_nu=2, range_r=300.0), 1.0),
     ], ids=["nu0", "nu2", "nu8", "overload", "zero_p_s"])
     def test_grid_matches_single_node(self, kwargs, p_s_scale):
@@ -313,13 +316,13 @@ class TestBatchedRecursion:
         assert outs[0] == outs[1]
 
     def test_chunked_grid_equals_one_chunk(self, scenario, monkeypatch):
-        # K = 45 at nu = 2 makes the state 136 wide: 56 nodes per chunk, so
-        # the 192 nodes of both grids run in 4 chunks
-        k = 45
-        assert _RecursionOperator(scenario, truncation_k=k).chunk < 64
+        # K = 60 at nu = 2 makes the state 181 wide: 32 nodes per chunk, so
+        # the 56 nodes of both rules run in 2 chunks
+        k, nodes = 60, len(_PlrNodes(scenario).r)
+        assert -(-nodes // _RecursionOperator(scenario, truncation_k=k).chunk) == 2
         chunked = plr(10.0, scenario, truncation_k=k)
         monkeypatch.setattr(_RecursionOperator, "_BATCH_ELEMENTS", 2 ** 40)
-        assert _RecursionOperator(scenario, truncation_k=k).chunk > 192
+        assert _RecursionOperator(scenario, truncation_k=k).chunk >= nodes
         assert plr(10.0, scenario, truncation_k=k) == chunked
 
 
@@ -340,6 +343,40 @@ class TestPlr:
         point = plr(10.0, scenario)
         assert 0.0 <= point.plr <= 1.0
         assert point.error_estimate <= 1e-3 * point.plr
+
+    @pytest.mark.parametrize("nu, lam", [(0, 0.5), (0, 3.0), (0, 30.0), (2, 0.5), (2, 3.0),
+                                         (2, 30.0), (5, 0.5), (5, 3.0), (5, 10.0),
+                                         (8, 0.5), (8, 1.0), (8, 3.0)])
+    def test_matches_composite_reference(self, nu, lam):
+        # the reference scenario has no breakpoint inside (0, R]: one 56-node
+        # piece; 1e-5 = REL_TOL / 100 moves a capacity by under a hundredth
+        # of the solver's step
+        cfg = make_scenario(repetitions_nu=nu)
+        assert len(_PlrNodes(cfg).r) == 56
+        point = plr(lam, cfg)
+        assert not point.validity_warning
+        assert point.plr == pytest.approx(plr_composite(lam, cfg), rel=1e-5, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    @pytest.mark.parametrize("nu", [2, 5])
+    @pytest.mark.parametrize("kwargs, points", [
+        # r_T = 203 m: noise alone breaks reception beyond it
+        (dict(range_r=300.0), 1),
+        # overlap 1's exclusion radius leaves 0 at 131 m, and r_T = 171 m
+        (dict(packet_width_m=5), 2),
+    ], ids=["range300", "width5"])
+    def test_kinked_loss_matches_adaptive_quadrature(self, kwargs, points, nu, lam):
+        cfg = make_scenario(repetitions_nu=nu, **kwargs)
+        inside = [b for b in reception_breakpoints(cfg) if 0.0 < b < cfg.range_r]
+        assert len(inside) == points
+        assert len(_PlrNodes(cfg).r) == 56 * (points + 1)
+        loaded = cfg.with_lambda(lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            ref, _ = integrate.quad(lambda r: loss_recursion(r, loaded).plr_r, 0.0,
+                                    cfg.range_r, points=inside, epsabs=0.0, epsrel=1e-9,
+                                    limit=200)
+        assert plr(lam, cfg).plr == pytest.approx(ref / cfg.range_r, rel=REL_TOL, abs=0.0)
 
     def test_truncation_doubling_stability(self, scenario):
         k = truncation_depth(scenario.with_lambda(10.0))

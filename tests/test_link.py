@@ -10,6 +10,7 @@ from mode2cap import (
     exclusion_radius,
     pathloss,
     pathloss_distance,
+    reception_breakpoints,
     sinr_no_interference,
 )
 
@@ -137,6 +138,57 @@ class TestExclusionRadius:
         # of the formula's condition number bounds what that can do
         err = np.abs(got[finite] - want[finite])
         assert np.all(err <= 4.0 * kappa[finite] * np.spacing(want[finite]))
+
+
+def _regime(r: float, cfg) -> tuple[bool, ...]:
+    """Which reception regime distance r is in: SINR0 > T, and for each
+    overlap m = 1..M whether its exclusion radius is 0, or unbounded."""
+    rho = exclusion_radius(r, np.arange(1, cfg.packet_width_m + 1), cfg)
+    return (bool(sinr_no_interference(r, cfg) > cfg.sinr_threshold_t),
+            *(rho == 0.0).tolist(), *np.isinf(rho).tolist())
+
+
+class TestReceptionBreakpoints:
+    CONFIGS = [dict(), dict(packet_width_m=5), dict(sinr_threshold_t=0.5),
+               dict(num_subchannels_b=20, packet_width_m=8)]
+
+    @pytest.mark.parametrize("kwargs", CONFIGS, ids=["default", "m5", "t05", "m8"])
+    def test_each_point_switches_one_regime(self, kwargs):
+        # r_T flips SINR0 > T and makes the full overlap M's radius unbounded;
+        # each other point turns one overlap's radius from 0 to positive, for
+        # each m < M with (M/m) e^(-T/gamma) > 1
+        cfg = make_scenario(**kwargs)
+        m_w, t = cfg.packet_width_m, cfg.sinr_threshold_t
+        points = reception_breakpoints(cfg)
+        zero_left = [m for m in range(1, m_w)
+                     if m_w / m * math.exp(-t / cfg.eesm_gamma) > 1.0]
+        assert len(points) == 1 + len(zero_left)
+        assert list(points) == sorted(points)
+        switched = []
+        for b in points:
+            near, far = b * (1.0 - 1e-9), b * (1.0 + 1e-9)
+            rho_near = exclusion_radius(near, np.arange(1, m_w + 1), cfg)
+            rho_far = exclusion_radius(far, np.arange(1, m_w + 1), cfg)
+            if sinr_no_interference(near, cfg) > t >= sinr_no_interference(far, cfg):
+                assert np.array_equal(rho_near == 0.0, rho_far == 0.0)
+                assert np.isfinite(rho_near[-1]) and np.isinf(rho_far[-1])
+                switched.append(m_w)
+            else:
+                changed = np.flatnonzero((rho_near == 0.0) & (rho_far > 0.0)) + 1
+                assert changed.size == 1 and np.all(np.isfinite(rho_far))
+                switched.append(int(changed[0]))
+        assert sorted(switched) == zero_left + [m_w]
+
+    @pytest.mark.parametrize("kwargs", CONFIGS, ids=["default", "m5", "t05", "m8"])
+    def test_no_regime_change_between_points(self, kwargs):
+        cfg = make_scenario(**kwargs)
+        points = np.array(reception_breakpoints(cfg))
+        r = np.linspace(1.0, 2.0 * points.max(), 4001)
+        regimes = [_regime(ri, cfg) for ri in r.tolist()]
+        changes = [i for i in range(r.size - 1) if regimes[i] != regimes[i + 1]]
+        assert len(changes) == points.size
+        for i, b in zip(changes, points.tolist()):
+            assert r[i] < b < r[i + 1]
 
 
 def _reference_exclusion_radius(r: float, m: int, cfg) -> tuple[float, float]:
