@@ -193,10 +193,9 @@ def plr_composite(lambda_rate: float, config: ScenarioConfig, panels: int = 8,
     x, w = np.polynomial.legendre.leggauss(points)
     half = 0.5 * cfg.range_r / panels
     r = ((2.0 * np.arange(panels) + 1.0)[:, None] * half + half * x).ravel()
-    p_s = np.broadcast_to(success_prob(r, cfg), r.shape)
-    p_nc = np.broadcast_to(repetition_noncollision_prob(r, cfg), r.shape)
-    values = [loss_recursion(ri, cfg, p_s=a, p_nc=b).plr_r
-              for ri, a, b in zip(r.tolist(), p_s.tolist(), p_nc.tolist())]
+    values = [loss_recursion(ri, cfg, p_s=a, p_nc=b).plr_r for ri, a, b in zip(
+        r.tolist(), success_prob(r, cfg).tolist(),
+        repetition_noncollision_prob(r, cfg).tolist())]
     return float(np.dot(np.tile(w, panels), values)) * half / cfg.range_r
 
 
