@@ -318,8 +318,10 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     both rules at once; the reported value is the 32-node sum and the error
     estimate its difference from the 24-node sum.  The validity flag is set
     when the recursion clamped at some node, so it samples the load's clamped
-    region at the nodes only.  Inside a capacity solve on this config the
-    lambda-free node arrays are the solve's, with the same result bit for bit.
+    region at the nodes only.  On a flagged point the clamp puts a kink that
+    no breakpoint splits, and the error estimate is no bound there.  Inside a
+    capacity solve on this config the lambda-free node arrays are the solve's,
+    with the same result bit for bit.
     """
     if not 0.0 < lambda_rate < math.inf:
         raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")

@@ -5,9 +5,10 @@ gaps, arrivals after the previous delivery, a first attempt in the next slot
 plus nu repetition slots drawn from the window, uniform contiguous subchannel
 picks per attempt, EESM threshold reception with summed interference, and
 half-duplex receivers.  Each replication draws its whole transmission
-schedule first, then receives it in chunks of consecutive slots.  Serves as
-the independent oracle for the analytic chain at loss levels reachable by
-counting.
+schedule first, then receives it in one pass per attempt index, each in
+chunks of consecutive slots, leaving out the pairs already delivered; a
+trace receives every attempt in one pass.  Serves as the independent oracle
+for the analytic chain at loss levels reachable by counting.
 """
 from __future__ import annotations
 
@@ -176,9 +177,11 @@ def _schedule(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int
     return tx[order], slots[order], subs[order]
 
 
-# bound on a chunk's pairs times attempts (see the chunking below): 2**12 was
-# slower, and 2**16 no faster at the benchmark's sizes with up to 3 times the
-# traced memory
+# bound on a chunk's pairs times attempts (see the chunking below).  Serial
+# replications, 2 cores, median of 7 rounds at 2**13 / 2**14 / 2**15 / 2**16:
+# 0.17 / 0.15 / 0.17 / 0.21 s at the sim-crosscheck nu = 0 point, 0.37 / 0.36 /
+# 0.32 / 0.34 s at its nu = 2 point, and 0.20 / 0.17 / 0.17 / 0.16 s at nu = 5,
+# lambda = 3, 1000 UEs x 5000 slots; no other bound is faster at all three
 _CHUNK_ELEMENTS = 2 ** 14
 
 
@@ -229,62 +232,71 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     tx_keys = np.sort(att_group * n + att_tx)
     span = np.arange(m_w)
 
-    # chunks of whole slots: a chunk takes slots until its cross product,
-    # bounded by the slot's pairs times its attempts, first reaches the bound
-    pair_sum = np.r_[0, np.cumsum(att_len)]
-    cost = (pair_sum[first + count] - pair_sum[first]) * count
-    chunk = (np.cumsum(cost) - cost) // _CHUNK_ELEMENTS
-    starts = first[np.flatnonzero(np.diff(chunk, prepend=-1))]
-
-    for a, b in zip(starts.tolist(), np.r_[starts[1:], att_slot.size].tolist()):
-        lengths = att_len[a:b]
-        # the chunk's pairs, attempt by attempt: the attempt k and the index
-        # into the flat pair arrays
-        k = np.repeat(np.arange(a, b), lengths)
-        pair = pair_start[att_pkt[k]] + np.arange(k.size) \
+    # a trace receives every attempt in one pass; otherwise pass i receives
+    # the attempts of index i, one per pair, and leaves out the pairs already
+    # delivered, which no later attempt can change
+    passes = ([np.arange(att_slot.size)] if recorder is not None else
+              [np.flatnonzero(att_ai == i) for i in range(nu + 1)])
+    for attempts in passes:
+        lengths = att_len[attempts]
+        # the pass's pairs, attempt by attempt: the attempt and the index into
+        # the flat pair arrays
+        pass_k = np.repeat(attempts, lengths)
+        pass_pair = pair_start[att_pkt[pass_k]] + np.arange(pass_k.size) \
             - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        rx = pair_rx[pair]
-        key = att_group[k] * n + rx
-        busy = tx_keys[np.minimum(np.searchsorted(tx_keys, key), tx_keys.size - 1)] == key
-        np.add.at(hd_count, pair[busy], 1)
-        free = ~busy
-        # one row per (slot, receiver) of the free pairs, against every
-        # attempt of its slot: row after row, in attempt order
-        row_key, row = np.unique(key[free], return_inverse=True)
-        row_group, row_rx = np.divmod(row_key, n)
-        width = count[row_group]
-        cross_row = np.repeat(np.arange(row_key.size), width)
-        cross_att = np.arange(cross_row.size) + np.repeat(
-            first[row_group] - np.cumsum(width) + width, width)
-        dist = np.abs(pos[row_rx][cross_row] - att_pos[cross_att])
-        # an interferer beyond the cutoff would add +0.0: leave it out
-        near = np.flatnonzero(dist <= cutoff)
-        cell = (cross_row[near] * b_total + att_sub[cross_att[near]])[:, None] + span
-        # each (row, subchannel) cell sums its interferers in attempt order
-        total = np.zeros(row_key.size * b_total)
-        np.add.at(total, cell.ravel(), np.repeat(sig_power * pathloss(dist[near], sc), m_w))
-        kf = k[free]
-        pair_dist = np.abs(pos[rx[free]] - att_pos[kf])
-        # the wanted signal ignores the interference cutoff
-        gain = sig_power * pathloss(pair_dist, sc)
-        interference = total[(row * b_total + att_sub[kf])[:, None] + span] \
-            - np.where(pair_dist <= cutoff, gain, 0.0)[:, None]
-        success = np.zeros(k.size, dtype=bool)
-        success[free] = effective_sinr(gain[:, None] / (sc.noise_sigma + interference),
-                                       sc.eesm_gamma) > sc.sinr_threshold_t
-        received[pair[success]] = True
-        if recorder is not None:
-            # by slot; within a slot its half-duplex blocks first, then its
-            # receptions, each in pair order
-            by_slot = np.lexsort((free, att_group[k]))
-            fields = (att_pkt[k], att_ai[k], att_slot[k], att_sub[k], rx, att_tx[k], busy,
-                      success)
-            for pid, ai, s, sub, rx_id, ue, hd, ok in zip(
-                    *(c[by_slot].tolist() for c in fields)):
-                outcome, cause = (("fail", LOSS_HALF_DUPLEX) if hd else ("success", "") if ok
-                                  else ("fail", LOSS_INTERFERENCE))
-                recorder(AttemptRecord(replication, pid, ai, s, sub, rx_id, outcome,
-                                       cause, ue))
+        if recorder is None:
+            pending = ~received[pass_pair]
+            pass_k, pass_pair = pass_k[pending], pass_pair[pending]
+        # chunks of whole slots: a chunk takes slots until its cross product,
+        # bounded by the slot's pairs times its attempts, first reaches the bound
+        slot_at = np.flatnonzero(np.diff(att_group[pass_k], prepend=-1))
+        cost = np.diff(slot_at, append=pass_k.size) * count[att_group[pass_k[slot_at]]]
+        chunk = (np.cumsum(cost) - cost) // _CHUNK_ELEMENTS
+        starts = slot_at[np.flatnonzero(np.diff(chunk, prepend=-1))]
+        for a, b in zip(starts.tolist(), np.r_[starts[1:], pass_k.size].tolist()):
+            k, pair = pass_k[a:b], pass_pair[a:b]
+            rx = pair_rx[pair]
+            key = att_group[k] * n + rx
+            busy = tx_keys[np.minimum(np.searchsorted(tx_keys, key), tx_keys.size - 1)] == key
+            np.add.at(hd_count, pair[busy], 1)
+            free = ~busy
+            # one row per (slot, receiver) of the free pairs, against every
+            # attempt of its slot: row after row, in attempt order
+            row_key, row = np.unique(key[free], return_inverse=True)
+            row_group, row_rx = np.divmod(row_key, n)
+            width = count[row_group]
+            cross_row = np.repeat(np.arange(row_key.size), width)
+            cross_att = np.arange(cross_row.size) + np.repeat(
+                first[row_group] - np.cumsum(width) + width, width)
+            dist = np.abs(pos[row_rx][cross_row] - att_pos[cross_att])
+            # an interferer beyond the cutoff would add +0.0: leave it out
+            near = np.flatnonzero(dist <= cutoff)
+            cell = (cross_row[near] * b_total + att_sub[cross_att[near]])[:, None] + span
+            # each (row, subchannel) cell sums its interferers in attempt order
+            total = np.zeros(row_key.size * b_total)
+            np.add.at(total, cell.ravel(), np.repeat(sig_power * pathloss(dist[near], sc), m_w))
+            kf = k[free]
+            pair_dist = np.abs(pos[rx[free]] - att_pos[kf])
+            # the wanted signal ignores the interference cutoff
+            gain = sig_power * pathloss(pair_dist, sc)
+            interference = total[(row * b_total + att_sub[kf])[:, None] + span] \
+                - np.where(pair_dist <= cutoff, gain, 0.0)[:, None]
+            success = np.zeros(k.size, dtype=bool)
+            success[free] = effective_sinr(gain[:, None] / (sc.noise_sigma + interference),
+                                           sc.eesm_gamma) > sc.sinr_threshold_t
+            received[pair[success]] = True
+            if recorder is not None:
+                # by slot; within a slot its half-duplex blocks first, then its
+                # receptions, each in pair order
+                by_slot = np.lexsort((free, att_group[k]))
+                fields = (att_pkt[k], att_ai[k], att_slot[k], att_sub[k], rx, att_tx[k], busy,
+                          success)
+                for pid, ai, s, sub, rx_id, ue, hd, ok in zip(
+                        *(c[by_slot].tolist() for c in fields)):
+                    outcome, cause = (("fail", LOSS_HALF_DUPLEX) if hd else ("success", "") if ok
+                                      else ("fail", LOSS_INTERFERENCE))
+                    recorder(AttemptRecord(replication, pid, ai, s, sub, rx_id, outcome,
+                                           cause, ue))
 
     lost = ~received
     return _RepResult(pairs=int(pair_rx.size), losses=int(lost.sum()),

@@ -224,8 +224,9 @@ def simulate_replication_reference(sim_config: SimConfig, replication: int,
                                    ) -> _RepResult:
     """The simulator's reception as one loop over slots, with a mutable record
     per packet, fed the package's own schedule.  The package receives chunks
-    of consecutive slots, each in one array pass over flat pair arrays; both
-    must give the same results and records, in the same order.
+    of consecutive slots, each in one array pass over flat pair arrays, in
+    one pass per attempt index without a recorder; both must give the same
+    results and, with a recorder, the same records in the same order.
     """
     sc = sim_config.scenario
     rng = replication_rng(sim_config.seed, replication)

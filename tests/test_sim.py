@@ -247,6 +247,26 @@ class TestHalfDuplex:
         assert mutual > 0
 
 
+def count_chunks(monkeypatch) -> list:
+    """Count the chunks the simulator receives, by the one effective_sinr
+    call each makes: one entry per call in the returned list."""
+    inner, calls = sim.effective_sinr, []
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(sim, "effective_sinr", counted)
+    return calls
+
+
+CHUNKING_CASES = pytest.mark.parametrize("scenario_kw", [
+    dict(repetitions_nu=0, lambda_rate=20.0),
+    dict(repetitions_nu=2, lambda_rate=30.0),
+    dict(repetitions_nu=1, lambda_rate=100.0),
+], ids=["nu0", "nu2", "half_duplex_heavy"])
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("scenario_kw, sim_kw", [
         (dict(repetitions_nu=0, lambda_rate=20.0), {}),
@@ -262,7 +282,9 @@ class TestAgainstReference:
             "b_equals_m"])
     def test_matches_event_loop(self, scenario_kw, sim_kw):
         # the chunked simulator against the slot-by-slot event loop: equal
-        # tallies and equal records, in the same order
+        # tallies and equal records, in the same order; and equal tallies
+        # without a recorder, which receive one attempt index per pass and
+        # leave out the pairs already delivered
         cfg = validate_sim_config(small_sim(scenario_kw=scenario_kw, num_ues=120,
                                             num_slots=1500, **sim_kw))
         for rep in range(cfg.replications):
@@ -271,25 +293,15 @@ class TestAgainstReference:
             assert result == simulate_replication_reference(cfg, rep, recorder=want.append)
             assert result.pairs > 0 and got
             assert got == want
+            assert _simulate_replication(cfg, rep) == result
 
-    @pytest.mark.parametrize("scenario_kw", [
-        dict(repetitions_nu=0, lambda_rate=20.0),
-        dict(repetitions_nu=2, lambda_rate=30.0),
-        dict(repetitions_nu=1, lambda_rate=100.0),
-    ], ids=["nu0", "nu2", "half_duplex_heavy"])
+    @CHUNKING_CASES
     def test_chunking_is_invisible(self, scenario_kw, monkeypatch):
         # one slot per chunk and one chunk per replication give the default
-        # chunking's tallies and records, in the same order; the chunks are
-        # counted by the one effective_sinr call each makes
+        # chunking's tallies and records, in the same order
         cfg = validate_sim_config(small_sim(scenario_kw=scenario_kw, num_ues=120,
                                             num_slots=1500))
-        inner, calls = sim.effective_sinr, []
-
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
-
-        monkeypatch.setattr(sim, "effective_sinr", counted)
+        calls = count_chunks(monkeypatch)
 
         def replications(bound):
             monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", bound)
@@ -310,6 +322,27 @@ class TestAgainstReference:
             want = []
             assert result == simulate_replication_reference(cfg, rep, recorder=want.append)
             assert records == want
+
+    @CHUNKING_CASES
+    def test_untraced_chunking_is_invisible(self, scenario_kw, monkeypatch):
+        # without a recorder each attempt index is chunked on its own pass:
+        # one slot per chunk and one chunk per pass give the default's tallies
+        cfg = validate_sim_config(small_sim(scenario_kw=scenario_kw, num_ues=120,
+                                            num_slots=1500))
+        calls = count_chunks(monkeypatch)
+
+        def replications(bound):
+            monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", bound)
+            calls.clear()
+            return [_simulate_replication(cfg, rep) for rep in range(cfg.replications)], \
+                len(calls)
+
+        default, default_chunks = replications(sim._CHUNK_ELEMENTS)
+        per_slot, slot_chunks = replications(1)
+        whole, whole_chunks = replications(2 ** 40)
+        passes = cfg.replications * (cfg.scenario.repetitions_nu + 1)
+        assert whole_chunks == passes < default_chunks < slot_chunks
+        assert per_slot == default and whole == default
 
 
 class TestAgainstClosedForms:
