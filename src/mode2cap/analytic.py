@@ -103,19 +103,33 @@ def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def success_prob(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     """Probability that one attempt survives the background flow at distance r.
 
-    Closed form exp(-2*phi*p * sum_m P_m * rho_m(r)): each of the Poisson
-    neighbors independently transmits with probability p and kills the packet
-    iff it falls inside the exclusion radius of the realized overlap.  Zero
-    when noise alone already breaks reception (SINR0 <= T) or when some
-    possible overlap has an unbounded exclusion radius.
+    Closed form exp(-2*phi*p * S(r)) with S(r) = sum_m P_m * rho_m(r): each
+    of the Poisson neighbors independently transmits with probability p and
+    kills the packet iff it falls inside the exclusion radius of the realized
+    overlap.  Zero when noise alone already breaks reception (SINR0 <= T) or
+    when some possible overlap has an unbounded exclusion radius.  Only p
+    depends on the load: `plr` keeps the rest per node and calls the same two
+    helpers.
     """
+    doomed, radius_sum = _success_terms(r, _exclusion_radii(r, config), config)
+    return _success_from_terms(doomed, radius_sum, config)
+
+
+def _success_terms(r: ArrayLike, rho: np.ndarray,
+                   config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """success_prob's load-free part at distances r with exclusion radii
+    rho[..., m]: where it is 0 (doomed), and the radius sum S(r)."""
     weights = _interference_weights(config)
     active = weights > 0.0
-    rho = _exclusion_radii(r, config)
     doomed = (sinr_no_interference(r, config) <= config.sinr_threshold_t) \
         | np.any(np.isinf(rho) & active, axis=-1)
-    p = transmit_probability(config)
-    exponent = 2.0 * config.phi * p * _weighted_sum(np.where(active, rho, 0.0), weights)
+    return doomed, _weighted_sum(np.where(active, rho, 0.0), weights)
+
+
+def _success_from_terms(doomed: np.ndarray, radius_sum: np.ndarray,
+                        config: ScenarioConfig) -> float | np.ndarray:
+    """success_prob at the config's load, from _success_terms."""
+    exponent = 2.0 * config.phi * transmit_probability(config) * radius_sum
     return np.where(doomed, 0.0, np.exp(-exponent))[()]
 
 
@@ -226,27 +240,32 @@ class _RecursionOperator:
         return _diagonal_index((self.g_rep * yfac[:, None, :]) @ self.g_last)
 
     def levels(self, p_s: np.ndarray, p_nc: np.ndarray,
-               hy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+               hy: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Recursion rows for nodes with success probabilities p_s[n] and
         repetition non-collision probabilities p_nc[n] (or hy(p_nc), if given).
 
-        Returns rows[t, n, c], the failure probability after t attempts with c
+        Returns rows[t][n, c], the failure probability after t attempts with c
         interferers mid-repetition, for t = 0..nu+1, and a per-node flag
         that is set when any probability had to be clamped into [0, 1].
         """
         p_s = p_s[:, None]
-        clamped = np.full(p_s.shape[0], self.capped)
+        q_s, live = 1.0 - p_s, p_s > 0.0
         hy = self.hy(p_nc) if hy is None else hy
         rows = [np.ones((p_s.shape[0], self.width))]
+        # u, y and the new state are products and sums of non-negative terms,
+        # so clamping into [0, 1] only needs the upper bound; peak is the
+        # largest of them before that clamp, element by element
+        peak = np.zeros_like(rows[0])
         for _ in range(self.nu + 1):
             v = rows[-1]
-            u = (1.0 - p_s) * (v @ self.u_from_v + self.u_const)
-            y = np.where(p_s > 0.0, p_s * np.matmul(hy, v[:, :, None])[:, :, 0], 0.0)
-            clamped |= np.any((u > 1.0 + _CLAMP_TOL) | (y > 1.0 + _CLAMP_TOL), axis=1)
-            v = self.p * v + (1.0 - self.p) * (np.clip(u, 0.0, 1.0) + np.clip(y, 0.0, 1.0))
-            clamped |= np.any(v > 1.0 + _CLAMP_TOL, axis=1)
-            rows.append(np.clip(v, 0.0, 1.0))
-        return np.stack(rows), clamped
+            u = q_s * (v @ self.u_from_v + self.u_const)
+            y = np.where(live, p_s * np.matmul(hy, v[:, :, None])[:, :, 0], 0.0)
+            np.maximum(peak, u, out=peak)
+            np.maximum(peak, y, out=peak)
+            v = self.p * v + (1.0 - self.p) * (np.minimum(u, 1.0) + np.minimum(y, 1.0))
+            np.maximum(peak, v, out=peak)
+            rows.append(np.minimum(v, 1.0))
+        return rows, self.capped | (peak.max(axis=1) > 1.0 + _CLAMP_TOL)
 
     def plr_r(self, p_s: np.ndarray, p_nc: np.ndarray,
               hy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +273,7 @@ class _RecursionOperator:
         values, clamped = [], []
         for lo in range(0, len(p_s), self.chunk):
             rows, cl = self.levels(p_s[lo:lo + self.chunk], p_nc[lo:lo + self.chunk], hy)
-            values.append(rows[-1, :, 0])
+            values.append(rows[-1][:, 0])
             clamped.append(cl)
         return np.concatenate(values), np.concatenate(clamped)
 
@@ -272,7 +291,7 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
     p_nc = repetition_noncollision_prob(r, config) if p_nc is None else p_nc
     op = _RecursionOperator(config, truncation_k)
     rows, clamped = op.levels(np.array([p_s], dtype=float), np.array([p_nc], dtype=float))
-    table = rows[:, 0, :]
+    table = np.stack(rows)[:, 0, :]
     return RecursionTable(plr_r=float(table[-1, 0]), p_s=p_s, p_nc=p_nc,
                           truncation_k=op.k, clamped=bool(clamped[0]), values=table)
 
@@ -291,17 +310,36 @@ _RULES = [np.polynomial.legendre.leggauss(n) for n in (24, 32)]
 
 
 class _PlrNodes:
-    """plr's lambda-free arrays for one config: nodes, weights, p_nc, hy of one width."""
+    """plr's lambda-free arrays for one config: nodes and weights, p_nc and
+    success_prob's load-free part (the doomed mask and the radius sum S) from
+    one set of exclusion radii, and hy of one width.
+
+    When r_T, the largest breakpoint, is below R, p_s falls to 0 there as
+    exp(-k (r_T - r)^(-1/3)), a boundary layer that plain Gauss-Legendre
+    misses; both rules then grade the piece that ends at r_T toward it, with
+    r = r_T - h (1 - s)^3 and s = (x + 1) / 2 for a piece of length h.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        ends = np.array([0.0, *(b for b in reception_breakpoints(config)
-                                if 0.0 < b < config.range_r), config.range_r])
+        breaks = reception_breakpoints(config)
+        ends = np.array([0.0, *(b for b in breaks if 0.0 < b < config.range_r),
+                         config.range_r])
         mid, half = (0.5 * (ends[1:] + ends[:-1]))[:, None], (0.5 * np.diff(ends))[:, None]
-        # r[i, j] = mid_i + half_i * x_j with weight half_i * w_j, rule by rule
-        self.r = np.concatenate([(mid + half * x).ravel() for x, _ in _RULES])
-        self.weights = [(half * w).ravel().tolist() for _, w in _RULES]
-        self.p_nc = np.broadcast_to(repetition_noncollision_prob(self.r, config), self.r.shape)
+        r, weights = [], []
+        for x, w in _RULES:
+            # r[i, j] = mid_i + half_i * x_j with weight half_i * w_j
+            nodes, wts = mid + half * x, half * w
+            if breaks[-1] < config.range_r:  # the next-to-last piece ends at r_T
+                t = 0.5 * (1.0 - x)  # 1 - s
+                nodes[-2] = ends[-2] - 2.0 * half[-2] * t ** 3
+                wts[-2] = 3.0 * half[-2] * t ** 2 * w
+            r.append(nodes.ravel())
+            weights.append(wts.ravel().tolist())
+        self.r, self.weights = np.concatenate(r), weights
+        rho = _exclusion_radii(self.r, config)
+        self.p_nc = _noncollision_from_profile(_interference_weights(config), rho)
+        self.doomed, self.radius_sum = _success_terms(self.r, rho, config)
         self.hy_width, self.hy = 0, None
 
 
@@ -314,21 +352,24 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     """Packet loss rate at the given load, integrated uniformly over distance.
 
     Gauss-Legendre rules of 24 and 32 nodes on each piece of (0, R] between
-    the link's reception breakpoints, with the recursion run on the nodes of
-    both rules at once; the reported value is the 32-node sum and the error
-    estimate its difference from the 24-node sum.  The validity flag is set
-    when the recursion clamped at some node, so it samples the load's clamped
-    region at the nodes only.  On a flagged point the clamp puts a kink that
-    no breakpoint splits, and the error estimate is no bound there.  Inside a
-    capacity solve on this config the lambda-free node arrays are the solve's,
-    with the same result bit for bit.
+    the link's reception breakpoints (graded toward r_T on the piece that
+    ends there, when r_T < R), with the recursion run on the nodes of both
+    rules at once; the reported value is the 32-node sum and the error
+    estimate its difference from the 24-node sum.  p_s at the nodes is
+    success_prob's, bit for bit, from their load-free radius sum.  The
+    validity flag is set when the recursion clamped at some node, so it
+    samples the load's clamped region at the nodes only.  On a flagged point
+    the clamp puts a kink that no breakpoint splits, and the error estimate
+    is no bound there.  Inside a capacity solve on this config the
+    lambda-free node arrays are the solve's, with the same result bit for
+    bit.
     """
     if not 0.0 < lambda_rate < math.inf:
         raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")
     nodes = _SOLVE_NODES.get()
     nodes = nodes if nodes is not None and nodes.config is config else _PlrNodes(config)
     cfg = config.with_lambda(lambda_rate)
-    p_s = np.broadcast_to(success_prob(nodes.r, cfg), nodes.r.shape)
+    p_s = _success_from_terms(nodes.doomed, nodes.radius_sum, cfg)
     op = _RecursionOperator(cfg, truncation_k)
     if op.width != nodes.hy_width:  # hy is kept only if it fits the chunk bound
         nodes.hy_width, nodes.hy = op.width, op.hy(nodes.p_nc) if op.chunk >= len(p_s) else None

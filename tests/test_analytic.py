@@ -284,7 +284,8 @@ class TestBatchedRecursion:
         cfg = make_scenario(**kwargs)
         op = _RecursionOperator(cfg, truncation_k)
         _, p_s, p_nc = self._grid(cfg)
-        rows, clamped = op.levels(p_s[::8], p_nc[::8])
+        levels, clamped = op.levels(p_s[::8], p_nc[::8])
+        rows = np.stack(levels)
         for n, (a, b) in enumerate(zip(p_s[::8].tolist(), p_nc[::8].tolist())):
             want, want_clamped = loss_recursion_per_node(a, b, cfg, op.k)
             np.testing.assert_allclose(rows[:, n, :], want, rtol=1e-13, atol=0.0)
@@ -328,13 +329,40 @@ class TestBatchedRecursion:
 
 class TestPlr:
     def test_constant_integrand_is_identity(self, scenario, monkeypatch):
-        monkeypatch.setattr("mode2cap.analytic.success_prob", lambda r, cfg: 0.7)
-        monkeypatch.setattr("mode2cap.analytic.repetition_noncollision_prob",
-                            lambda r, cfg: 0.4)
+        # plr takes p_s from the nodes' load-free terms and p_nc from their
+        # exclusion radii, through these two helpers
+        monkeypatch.setattr("mode2cap.analytic._success_from_terms",
+                            lambda doomed, radius_sum, cfg: np.full(radius_sum.shape, 0.7))
+        monkeypatch.setattr("mode2cap.analytic._noncollision_from_profile",
+                            lambda weights, rho: np.full(rho.shape[:-1], 0.4))
         expect = loss_recursion(100.0, scenario, p_s=0.7, p_nc=0.4).plr_r
         point = plr(scenario.lambda_rate, scenario)
         assert point.plr == pytest.approx(expect, abs=1e-12)
         assert point.error_estimate < 1e-12
+
+    @pytest.mark.parametrize("lam", [0.1, 3.0, 30.0])
+    @pytest.mark.parametrize("kwargs", [{}, dict(range_r=300.0), dict(packet_width_m=5)],
+                             ids=["reference", "range300", "width5"])
+    def test_node_success_prob_is_success_prob(self, monkeypatch, kwargs, lam):
+        # a solve's plr calls take p_s at its nodes from their doomed mask
+        # and radius sum, kept across loads: bit for bit success_prob's
+        cfg = make_scenario(**kwargs)
+        nodes, seen, plr_r = _PlrNodes(cfg), [], _RecursionOperator.plr_r
+
+        def recording(op, p_s, p_nc, hy=None):
+            seen.append(p_s)
+            return plr_r(op, p_s, p_nc, hy)
+
+        monkeypatch.setattr(_RecursionOperator, "plr_r", recording)
+        token = _SOLVE_NODES.set(nodes)
+        try:
+            plr(lam, cfg)
+        finally:
+            _SOLVE_NODES.reset(token)
+        want = success_prob(nodes.r, cfg.with_lambda(lam))
+        assert np.array_equal(seen[0], want)
+        # beyond r_T < R noise alone breaks reception
+        assert np.any(want == 0.0) == bool(kwargs)
 
     def test_vanishing_load_vanishing_loss(self, scenario):
         assert plr(1e-6, scenario).plr < 1e-8
@@ -377,6 +405,27 @@ class TestPlr:
                                     cfg.range_r, points=inside, epsabs=0.0, epsrel=1e-9,
                                     limit=200)
         assert plr(lam, cfg).plr == pytest.approx(ref / cfg.range_r, rel=REL_TOL, abs=0.0)
+
+    @pytest.mark.parametrize("kwargs, nu, lam", [
+        (dict(packet_width_m=5), 5, 1.0),
+        (dict(range_r=300.0), 2, 1.0),
+        (dict(packet_width_m=5), 2, 0.1),
+        (dict(range_r=300.0), 5, 0.3),
+    ], ids=["width5-nu5", "range300-nu2", "width5-nu2", "range300-nu5"])
+    def test_boundary_layer_at_r_t_matches_adaptive_quadrature(self, kwargs, nu, lam):
+        # r_T < R: p_s falls to 0 at r_T as exp(-k (r_T - r)^(-1/3)), which
+        # ungraded nodes on the piece ending there missed by 6.5e-7..1.1e-4
+        cfg = make_scenario(repetitions_nu=nu, **kwargs)
+        ends = [0.0, *(b for b in reception_breakpoints(cfg) if 0.0 < b < cfg.range_r),
+                cfg.range_r]
+        assert ends[-2] == max(reception_breakpoints(cfg))
+        loaded = cfg.with_lambda(lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            ref = sum(integrate.quad(lambda r: loss_recursion(r, loaded).plr_r, a, b,
+                                     epsabs=0.0, epsrel=1e-11, limit=200)[0]
+                      for a, b in zip(ends, ends[1:]))
+        assert plr(lam, cfg).plr == pytest.approx(ref / cfg.range_r, rel=1e-6, abs=0.0)
 
     def test_truncation_doubling_stability(self, scenario):
         k = truncation_depth(scenario.with_lambda(10.0))
