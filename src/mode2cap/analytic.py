@@ -14,6 +14,7 @@ capacity() inverts it against the QoS bound.
 from __future__ import annotations
 
 import math
+import operator
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -164,7 +165,8 @@ def _noncollision_from_profile(weights: np.ndarray,
                     np.where(denom == 0.0, 1.0, 1.0 - ratio))[()]
 
 
-# one capacity solve meets at most four truncation depths, hence widths
+# a capacity solve meets a few truncation depths, hence widths (at most three
+# over B = 3..20, nu = 0..8 and PLR 1e-2..1e-5)
 @lru_cache(maxsize=8)
 def _mixing_matrices(width: int, p_rep: float,
                      q_last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,17 +251,18 @@ class _RecursionOperator:
         that is set when any probability had to be clamped into [0, 1].
         """
         p_s = p_s[:, None]
-        q_s, live = 1.0 - p_s, p_s > 0.0
+        q_s = 1.0 - p_s
         hy = self.hy(p_nc) if hy is None else hy
         rows = [np.ones((p_s.shape[0], self.width))]
         # u, y and the new state are products and sums of non-negative terms,
         # so clamping into [0, 1] only needs the upper bound; peak is the
-        # largest of them before that clamp, element by element
+        # largest of them before that clamp, element by element.  hy @ v is
+        # finite, so y is 0.0 where p_s is
         peak = np.zeros_like(rows[0])
         for _ in range(self.nu + 1):
             v = rows[-1]
             u = q_s * (v @ self.u_from_v + self.u_const)
-            y = np.where(live, p_s * np.matmul(hy, v[:, :, None])[:, :, 0], 0.0)
+            y = p_s * np.matmul(hy, v[:, :, None])[:, :, 0]
             np.maximum(peak, u, out=peak)
             np.maximum(peak, y, out=peak)
             v = self.p * v + (1.0 - self.p) * (np.minimum(u, 1.0) + np.minimum(y, 1.0))
@@ -296,8 +299,10 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
                           truncation_k=op.k, clamped=bool(clamped[0]), values=table)
 
 
-# capacity's search: decades up from LAMBDA_LO, capped at LAMBDA_CAP, then a
-# safeguarded secant on log(lambda) down to a bracket ratio of 1 + REL_TOL
+# capacity's search: steps along the PLR's slope from LAMBDA_START to the
+# first load on the other side of the target, inside [LAMBDA_LO, LAMBDA_CAP],
+# then a safeguarded secant on log(lambda) down to a bracket ratio of 1 + REL_TOL
+LAMBDA_START = 1.0
 LAMBDA_LO = 1e-4
 LAMBDA_CAP = 1e6
 REL_TOL = 1e-3
@@ -375,8 +380,10 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
         nodes.hy_width, nodes.hy = op.width, op.hy(nodes.p_nc) if op.chunk >= len(p_s) else None
     values, clamped = op.plr_r(p_s, nodes.p_nc, nodes.hy)
     # summed node by node, in order
-    coarse, fine = (sum(w * value for w, value in zip(wts, rule.tolist())) / config.range_r
-                    for wts, rule in zip(nodes.weights, np.split(values, [len(nodes.weights[0])])))
+    coarse_w, fine_w = nodes.weights
+    values = values.tolist()
+    coarse = sum(map(operator.mul, coarse_w, values[:len(coarse_w)])) / config.range_r
+    fine = sum(map(operator.mul, fine_w, values[len(coarse_w):])) / config.range_r
     return PlrCurvePoint(lambda_rate, plr=float(fine), error_estimate=float(abs(fine - coarse)),
                          validity_warning=bool(clamped.any()))
 
@@ -384,13 +391,19 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
 def capacity(config: ScenarioConfig) -> CapacityResult:
     """Largest load whose loss rate stays within the QoS bound.
 
-    Decades from LAMBDA_LO bracket it; an Illinois secant on log PLR vs log
-    lambda then narrows the bracket to REL_TOL, each load at least
-    log(1 + REL_TOL) / 2 inside it.  A step bisects after two secant steps in a
-    row that failed to halve the log-bracket, or at an end with no finite log
-    PLR (PLR = 0, or p >= 1: infeasible).  So at most 11 + 3 * 12 loads, and
-    typically 5-12.  Monotonicity is checked on the PLR samples and flagged,
-    not assumed; the validity flag is that of the returned capacity's PLR.
+    With f = log(PLR / target) against x = log(lambda), the search starts at
+    LAMBDA_START and steps toward the crossing by |f| / s + 0.1, with s the
+    slope between the last two finite samples (1 at first, at least 0.5).
+    A step is at least 0.1 * 2^i at the i-th load and at most one decade,
+    and a load with no finite f (PLR = 0, or p >= 1: infeasible) steps a
+    decade; loads are clamped to [LAMBDA_LO, LAMBDA_CAP], those ends
+    exactly.  Once the last two loads bracket the crossing, an Illinois
+    secant on f narrows the bracket to REL_TOL, each load at least
+    log(1 + REL_TOL) / 2 inside it.  A secant step bisects after two in a
+    row that failed to halve the log-bracket, or at an end with no finite f.
+    So at most 11 + 3 * 12 loads, and typically 4-9.  Monotonicity is
+    checked on the PLR samples and flagged, not assumed; the validity flag
+    is that of the returned capacity's PLR.
     """
     samples: dict[float, PlrCurvePoint] = {}
 
@@ -404,9 +417,21 @@ def capacity(config: ScenarioConfig) -> CapacityResult:
 
     token = _SOLVE_NODES.set(_PlrNodes(config))
     try:
-        lo, hi, f_lo = 0.0, LAMBDA_LO, -math.inf
-        while lo < LAMBDA_CAP and (f_hi := excess(hi)) <= 0.0:
-            lo, hi, f_lo = hi, min(hi * 10.0, LAMBDA_CAP), f_hi
+        # step away from LAMBDA_START until f changes sign or an end is reached
+        lam, f = LAMBDA_START, excess(LAMBDA_START)
+        up, last, finite, floor = f <= 0.0, (lam, f), None, 0.1
+        while (f <= 0.0) == up and lam != (LAMBDA_CAP if up else LAMBDA_LO):
+            last, x, step = (lam, f), math.log(lam), math.log(10.0)
+            if math.isfinite(f):
+                slope = 1.0 if finite is None else max((f - finite[1]) / (x - finite[0]), 0.5)
+                step, finite = min(max(abs(f) / slope + 0.1, floor), step), (x, f)
+            x, floor = x + (step if up else -step), 2.0 * floor
+            lam = (LAMBDA_CAP if x >= math.log(LAMBDA_CAP) else
+                   LAMBDA_LO if x <= math.log(LAMBDA_LO) else math.exp(x))
+            f = excess(lam)
+        if (f <= 0.0) == up:  # no crossing: feasible at the cap, or not at the floor
+            last = (lam, f) if up else (0.0, -math.inf)
+        (lo, f_lo), (hi, f_hi) = sorted([last, (lam, f)])
         guard, kept, stalls = 0.5 * math.log1p(REL_TOL), "", 0
         while lo > 0.0 and hi / lo > 1.0 + REL_TOL:
             a, b = math.log(lo), math.log(hi)

@@ -273,8 +273,10 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
             near = np.flatnonzero(dist <= cutoff)
             cell = (cross_row[near] * b_total + att_sub[cross_att[near]])[:, None] + span
             # each (row, subchannel) cell sums its interferers in attempt order
-            total = np.zeros(row_key.size * b_total)
-            np.add.at(total, cell.ravel(), np.repeat(sig_power * pathloss(dist[near], sc), m_w))
+            # (with none at all, bincount gives integer zeros, which the float
+            # arithmetic below promotes exactly)
+            total = np.bincount(cell.ravel(), np.repeat(sig_power * pathloss(dist[near], sc), m_w),
+                                minlength=row_key.size * b_total)
             kf = k[free]
             pair_dist = np.abs(pos[rx[free]] - att_pos[kf])
             # the wanted signal ignores the interference cutoff

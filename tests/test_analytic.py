@@ -31,7 +31,7 @@ from mode2cap import (
 from mode2cap.analytic import (
     _SOLVE_NODES,
     LAMBDA_CAP,
-    LAMBDA_LO,
+    LAMBDA_START,
     MAX_TRUNCATION_DEPTH,
     REL_TOL,
     _binomial_rows,
@@ -470,25 +470,27 @@ class TestCapacity:
         assert plr(result.capacity * 1.01, cfg).plr > cfg.plr_target
 
     def test_dip_on_a_sampled_load_is_flagged(self, scenario, monkeypatch):
-        # PLR = lambda / 50 meets 1e-2 up to lambda = 0.5, so the search
-        # samples the decades 1e-4..1 and then narrows (0.1, 1); the dipped
-        # PLR is 100 times lower near lambda = 0.01 only, a sampled decade
-        # below that bracket, so the search takes the same steps
+        # PLR = lambda / 50 meets 1e-2 up to lambda = 0.5; the search always
+        # samples LAMBDA_START = 1, where the dipped PLR is 0.6 times lower
+        # (still infeasible), so it steps down from there either way and the
+        # dipped PLR rises again to its next load
         def fake(dip):
             def plr_fake(lam, cfg):
-                value = lam / 50.0 * (0.01 if dip and 0.005 < lam < 0.02 else 1.0)
+                value = lam / 50.0 * (0.6 if dip and 0.9 < lam < 1.1 else 1.0)
                 return PlrCurvePoint(lam, value, 0.0)
             return plr_fake
 
         cfg = replace(scenario, plr_target=1e-2)
-        monkeypatch.setattr("mode2cap.analytic.plr", fake(dip=False))
-        monotone = capacity(cfg)
-        monkeypatch.setattr("mode2cap.analytic.plr", fake(dip=True))
-        dipped = capacity(cfg)
-        assert monotone.flags == ()
-        assert dipped.flags == ("nonmonotonic_plr",)
-        assert dipped.capacity == monotone.capacity
-        assert monotone.capacity == pytest.approx(0.5, rel=1e-3)
+        results = {}
+        for dip in (False, True):
+            monkeypatch.setattr("mode2cap.analytic.plr", fake(dip))
+            results[dip] = result = capacity(cfg)
+            assert fake(dip)(result.capacity, cfg).plr <= cfg.plr_target
+            assert fake(dip)(result.capacity * (1.0 + REL_TOL), cfg).plr > cfg.plr_target
+        assert LAMBDA_START == 1.0
+        assert results[False].flags == ()
+        assert results[True].flags == ("nonmonotonic_plr",)
+        assert results[False].capacity == pytest.approx(0.5, rel=1e-3)
 
     def test_each_plr_call_evaluates_a_new_load(self, monkeypatch):
         cfg = make_scenario(repetitions_nu=2, plr_target=1e-2)
@@ -501,15 +503,16 @@ class TestCapacity:
         monkeypatch.setattr("mode2cap.analytic.plr", counting)
         result = capacity(cfg)
         assert len(loads) == len(set(loads))
-        # the 7 decades 1e-4..1e2 bracket the capacity, and the secant
+        # from lambda = 1 a decade up brackets the capacity, and the secant
         # closes the bracket in at most 5 more loads here
         assert 10.0 < result.capacity < 100.0
-        assert len(loads) <= 12
+        assert len(loads) <= 7
 
     @pytest.mark.parametrize("nu", range(9))
     @pytest.mark.parametrize("target", [1e-2, 1e-5])
     def test_optimal_nu_solves_take_at_most_12_loads(self, monkeypatch, nu, target):
-        # the nu sweep of criterion 6 and the optimal-nu benchmark
+        # the nu sweep of criterion 6 and the optimal-nu benchmark; they take
+        # 4-7 loads each
         cfg = make_scenario(num_subchannels_b=10, repetitions_nu=nu, plr_target=target)
         loads = []
 
@@ -519,19 +522,23 @@ class TestCapacity:
 
         monkeypatch.setattr("mode2cap.analytic.plr", counting)
         capacity(cfg)
-        assert len(loads) <= 12
+        assert len(loads) <= 8
 
-    @pytest.mark.parametrize("shape", ["steep", "jump", "model_edge"])
+    @pytest.mark.parametrize("shape", ["steep", "jump", "model_edge", "flat"])
     def test_hard_plr_shapes_end_within_worst_case(self, scenario, monkeypatch, shape):
         # steep: PLR = target * (lambda / 3.7)^60; jump: PLR steps from
         # target / 10 to 10 * target at 3.7; model_edge: PLR = target / 2 up
-        # to 3.7 and no PLR (p >= 1) above, which only bisection can narrow
+        # to 3.7 and no PLR (p >= 1) above, which only bisection can narrow;
+        # flat: PLR = target * (1 - 1e-9) up to the search cap, where every
+        # step is the smallest the search allows
         target, knee = 1e-5, 3.7
         cfg = replace(scenario, plr_target=target)
         loads = []
 
         def plr_fake(lam, config):
             loads.append(lam)
+            if shape == "flat":
+                return PlrCurvePoint(lam, target * (1.0 - 1e-9 if lam <= LAMBDA_CAP else 10.0), 0.0)
             if shape == "steep":
                 return PlrCurvePoint(lam, target * (lam / knee) ** 60, 0.0)
             if lam <= knee:
@@ -541,13 +548,19 @@ class TestCapacity:
             raise TrafficIntensityError("traffic too intense for model (p >= 1)")
 
         monkeypatch.setattr("mode2cap.analytic.plr", plr_fake)
-        cap = capacity(cfg).capacity
-        # 11 decades 1e-4..1e6, then at most 3 loads per halving of a decade's
-        # log width, of which 12 take it below log(1 + REL_TOL)
-        decades = round(math.log10(LAMBDA_CAP / LAMBDA_LO)) + 1
+        result = capacity(cfg)
+        cap = result.capacity
+        assert result.above_search_limit is (shape == "flat")
+        # the bracketing steps from lambda = 1 are at least 0.1 * 2^i in
+        # log(lambda) and at most a decade, so 10 of them reach 1e6 and 8 reach
+        # 1e-4; the bracket they leave is at most a decade wide, and the secant
+        # takes at most 3 loads per halving of its log width, of which 12 take
+        # it below log(1 + REL_TOL)
+        steps = [min(0.1 * 2.0 ** i, math.log(10.0)) for i in range(10)]
+        assert sum(steps[:9]) < math.log(LAMBDA_CAP) <= sum(steps)
         halvings = math.ceil(math.log2(math.log(10.0) / math.log1p(REL_TOL)))
-        assert (decades, halvings) == (11, 12)
-        assert len(loads) <= decades + 3 * halvings
+        assert halvings == 12
+        assert len(loads) <= 1 + len(steps) + 3 * halvings
         assert plr_fake(cap, cfg).plr <= target
         try:
             above = plr_fake(cap * (1.0 + REL_TOL), cfg).plr
