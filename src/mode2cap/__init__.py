@@ -16,6 +16,7 @@ from .config import (
     watts_to_dbm,
 )
 from .link import (
+    eesm_received,
     effective_sinr,
     exclusion_radius,
     overlap_distribution,

@@ -1,10 +1,11 @@
 """Link layer shared by the analytic chain and the simulator.
 
-Path loss, per-subchannel SINR, the EESM effective SINR, the overlap law of
-two random contiguous allocations, and the exclusion radius: the minimum
-distance an interferer must keep for a packet to survive a given frequency
-overlap.  Distances, overlaps and SINRs may be numpy arrays: results
-broadcast over them, and scalar inputs give scalar results.
+Path loss, per-subchannel SINR, the EESM effective SINR and its threshold
+decision, the overlap law of two random contiguous allocations, and the
+exclusion radius: the minimum distance an interferer must keep for a packet
+to survive a given frequency overlap.  Distances, overlaps and SINRs may be
+numpy arrays: results broadcast over them, and scalar inputs give scalar
+results.
 """
 from __future__ import annotations
 
@@ -134,3 +135,25 @@ def effective_sinr(per_subchannel_sinr: ArrayLike, gamma: float) -> float | np.n
     mx = np.maximum(x.max(axis=-1), -sys.float_info.max)
     with np.errstate(divide="ignore"):
         return -gamma * (mx + np.log(np.exp(x - mx[..., None]).sum(axis=-1) / n))
+
+
+def eesm_received(per_subchannel_sinr: ArrayLike, gamma: float,
+                  threshold: float) -> bool | np.ndarray:
+    """EESM reception decision: whether the effective SINR of the
+    per-subchannel SINRs along the *first* axis exceeds threshold.
+
+    The same test as effective_sinr(...) > threshold, taken in the linear
+    domain as sum_i exp((threshold - sinr_i) / gamma) < n over the n
+    subchannels: one exp and one sum, and no log.  With the threshold inside
+    the exp, the right-hand side is the exact integer n and no
+    e^(-threshold/gamma) can underflow; a term that underflows to 0 belongs to
+    a SINR far above the threshold, and one that overflows to inf to a SINR
+    far below it, so both decide correctly.
+    """
+    x = np.subtract(threshold, per_subchannel_sinr, dtype=float)
+    if x.ndim == 0 or x.shape[0] == 0:
+        raise ValueError("need at least one subchannel SINR")
+    x /= gamma
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    return (x.sum(axis=0) < x.shape[0])[()]

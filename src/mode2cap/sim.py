@@ -7,8 +7,12 @@ picks per attempt, EESM threshold reception with summed interference, and
 half-duplex receivers.  Each replication draws its whole transmission
 schedule first, then receives it in one pass per attempt index, each in
 chunks of consecutive slots, leaving out the pairs already delivered; a
-trace receives every attempt in one pass.  Serves as the independent oracle
-for the analytic chain at loss levels reachable by counting.
+trace receives every attempt in one pass.  A chunk sums each receiver's
+interference per subchannel with one bincount, gathers every pair's M
+subchannels as M long rows (subchannel-major, with no length-M trailing
+axis), and decides reception with `link.eesm_received`, the EESM threshold
+test in the linear domain.  Serves as the independent oracle for the
+analytic chain at loss levels reachable by counting.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import numpy as np
 
 from .config import (ConfigError, ScenarioConfig, float_field, integer_field, json_value,
                      pool_map, validate_config)
-from .link import effective_sinr, pathloss, pathloss_distance
+from .link import eesm_received, pathloss, pathloss_distance
 
 LOSS_HALF_DUPLEX = "half_duplex"
 LOSS_INTERFERENCE = "interference"
@@ -179,9 +183,10 @@ def _schedule(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int
 
 # bound on a chunk's pairs times attempts (see the chunking below).  Serial
 # replications, 2 cores, median of 7 rounds at 2**13 / 2**14 / 2**15 / 2**16:
-# 0.17 / 0.15 / 0.17 / 0.21 s at the sim-crosscheck nu = 0 point, 0.37 / 0.36 /
-# 0.32 / 0.34 s at its nu = 2 point, and 0.20 / 0.17 / 0.17 / 0.16 s at nu = 5,
-# lambda = 3, 1000 UEs x 5000 slots; no other bound is faster at all three
+# 0.095 / 0.086 / 0.091 / 0.125 s at the sim-crosscheck nu = 0 point, 0.28 /
+# 0.22 / 0.21 / 0.24 s at its nu = 2 point, and 0.14 / 0.13 / 0.14 / 0.13 s at
+# nu = 5, lambda = 3, 1000 UEs x 5000 slots; no other bound is faster at all
+# three
 _CHUNK_ELEMENTS = 2 ** 14
 
 
@@ -196,23 +201,25 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     cutoff = sim_config.resolved_cutoff()
     margin = 2.0 * sc.range_r
 
-    eligible = (pos >= margin) & (pos <= pos[-1] - margin)
-    # receivers measured for a transmitter: eligible UEs within range_r
-    lo = np.searchsorted(pos, pos - sc.range_r, side="left")
-    hi = np.searchsorted(pos, pos + sc.range_r, side="right")
-    rx_lists = [ids[(ids != i) & eligible[ids]]
-                for i, ids in enumerate(map(np.arange, lo, hi))]
+    # pos is sorted, so the eligible UEs, those at least 2R from both ends of
+    # the line, are one index block [e0, e1), and an eligible UE's measured
+    # receivers are the block [rx_lo, rx_hi) of eligible UEs within range_r,
+    # less the UE itself
+    e0 = np.searchsorted(pos, margin, side="left")
+    e1 = np.searchsorted(pos, pos[-1] - margin, side="right")
+    rx_lo = np.maximum(np.searchsorted(pos, pos - sc.range_r, side="left"), e0)
+    rx_hi = np.minimum(np.searchsorted(pos, pos + sc.range_r, side="right"), e1)
 
     tx, slots, subs = _schedule(sc, rng, n, horizon)
 
     # a packet is measured if its sender is eligible and its last attempt
     # falls inside the horizon; its (packet, receiver) pairs are stored flat,
-    # packet after packet, from pair_start[packet] on
-    measured = eligible[tx] & (slots[:, -1] < horizon)
-    pair_count = np.where(measured, np.array([len(ids) for ids in rx_lists])[tx], 0)
+    # packet after packet, from pair_start[packet] on, receivers ascending
+    measured = (e0 <= tx) & (tx < e1) & (slots[:, -1] < horizon)
+    pair_count = np.where(measured, (rx_hi - rx_lo - 1)[tx], 0)
     pair_start = np.cumsum(pair_count) - pair_count
-    pair_rx = np.concatenate([rx_lists[ue] for ue in tx[measured]] or
-                             [np.empty(0, dtype=np.intp)])
+    pair_rx = np.arange(pair_count.sum()) + np.repeat(rx_lo[tx] - pair_start, pair_count)
+    pair_rx += pair_rx >= np.repeat(tx, pair_count)
     received = np.zeros(pair_rx.size, dtype=bool)
     hd_count = np.zeros(pair_rx.size, dtype=np.int32)
 
@@ -230,7 +237,6 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     count = np.diff(first, append=att_slot.size)
     att_group = np.repeat(np.arange(first.size), count)
     tx_keys = np.sort(att_group * n + att_tx)
-    span = np.arange(m_w)
 
     # a trace receives every attempt in one pass; otherwise pass i receives
     # the attempts of index i, one per pair, and leaves out the pairs already
@@ -242,8 +248,8 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
         # the pass's pairs, attempt by attempt: the attempt and the index into
         # the flat pair arrays
         pass_k = np.repeat(attempts, lengths)
-        pass_pair = pair_start[att_pkt[pass_k]] + np.arange(pass_k.size) \
-            - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        pass_pair = np.arange(pass_k.size) + np.repeat(
+            pair_start[att_pkt[attempts]] - np.cumsum(lengths) + lengths, lengths)
         if recorder is None:
             pending = ~received[pass_pair]
             pass_k, pass_pair = pass_k[pending], pass_pair[pending]
@@ -271,21 +277,33 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
             dist = np.abs(pos[row_rx][cross_row] - att_pos[cross_att])
             # an interferer beyond the cutoff would add +0.0: leave it out
             near = np.flatnonzero(dist <= cutoff)
-            cell = (cross_row[near] * b_total + att_sub[cross_att[near]])[:, None] + span
+            # each near entry hits its M subchannels: bincount's cells and
+            # weights, entry-major and written one subchannel column at a time
+            cell0 = cross_row[near] * b_total + att_sub[cross_att[near]]
+            power = sig_power * pathloss(dist[near], sc)
+            cells, weights = np.empty((near.size, m_w), np.intp), np.empty((near.size, m_w))
+            for j in range(m_w):
+                np.add(cell0, j, out=cells[:, j])
+                weights[:, j] = power
             # each (row, subchannel) cell sums its interferers in attempt order
             # (with none at all, bincount gives integer zeros, which the float
-            # arithmetic below promotes exactly)
-            total = np.bincount(cell.ravel(), np.repeat(sig_power * pathloss(dist[near], sc), m_w),
-                                minlength=row_key.size * b_total)
+            # rows below take exactly)
+            total = np.bincount(cells.ravel(), weights.ravel(), minlength=row_key.size * b_total)
             kf = k[free]
             pair_dist = np.abs(pos[rx[free]] - att_pos[kf])
             # the wanted signal ignores the interference cutoff
             gain = sig_power * pathloss(pair_dist, sc)
-            interference = total[(row * b_total + att_sub[kf])[:, None] + span] \
-                - np.where(pair_dist <= cutoff, gain, 0.0)[:, None]
+            # subchannel-major: row j holds every free pair's interference on
+            # its attempt's j-th subchannel, less its own signal, then its SINR
+            cell = row * b_total + att_sub[kf]
+            sinr = np.empty((m_w, kf.size))
+            for j in range(m_w):
+                sinr[j] = total[cell + j]
+            sinr -= np.where(pair_dist <= cutoff, gain, 0.0)
+            sinr += sc.noise_sigma
+            np.divide(gain, sinr, out=sinr)
             success = np.zeros(k.size, dtype=bool)
-            success[free] = effective_sinr(gain[:, None] / (sc.noise_sigma + interference),
-                                           sc.eesm_gamma) > sc.sinr_threshold_t
+            success[free] = eesm_received(sinr, sc.eesm_gamma, sc.sinr_threshold_t)
             received[pair[success]] = True
             if recorder is not None:
                 # by slot; within a slot its half-duplex blocks first, then its

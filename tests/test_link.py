@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mode2cap import (
+    eesm_received,
     effective_sinr,
     exclusion_radius,
     pathloss,
@@ -302,3 +303,50 @@ class TestEesm:
     def test_numpy_input_accepted(self, scenario):
         out = eesm_receive(np.array([3.0, 4.0, 5.0]), scenario)
         assert 3.0 <= out.effective_sinr <= 5.0
+
+
+class TestEesmDecision:
+    """eesm_received, the linear-domain test over the first axis, against
+    the log-domain effective_sinr(rows) > T over the last."""
+
+    GAMMA, T = 1.15, 1.7
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equals_log_domain_test(self, m):
+        rng = np.random.default_rng(m)
+        rows = rng.exponential(3.0, size=(4000, m))
+        # one subchannel per row moved onto T's neighbourhood, so that many
+        # rows sit near the decision boundary
+        rows[::2, 0] = self.T * rng.uniform(0.5, 1.5, size=2000)
+        # keep rows whose effective SINR is at least 1e-9 relative away from T
+        eff = effective_sinr(rows, self.GAMMA)
+        rows = rows[np.abs(eff / self.T - 1.0) >= 1e-9]
+        want = effective_sinr(rows, self.GAMMA) > self.T
+        assert 0 < want.sum() < want.size
+        assert np.array_equal(eesm_received(rows.T, self.GAMMA, self.T), want)
+        for row, ok in zip(rows[:50], want[:50]):
+            assert eesm_received(row, self.GAMMA, self.T) == ok
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_large_and_infinite_sinrs_are_received(self, m):
+        # exp((T - sinr) / gamma) underflows to 0 for these
+        rows = np.array([[5e4] * m, [1e300] * m, [np.inf] * m,
+                         [np.inf] + [5e4] * (m - 1)])
+        assert (effective_sinr(rows, self.GAMMA) > self.T).all()
+        assert eesm_received(rows.T, self.GAMMA, self.T).tolist() == [True] * 4
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_threshold_is_strict(self, m):
+        t = self.T
+        assert not eesm_received([t] * m, self.GAMMA, t)
+        assert eesm_received([t * (1 + 1e-9)] * m, self.GAMMA, t)
+        # one subchannel far below T is a loss, even where its term overflows
+        assert not eesm_received([0.0] + [5e4] * (m - 1), self.GAMMA, 1e3)
+
+    def test_empty_subchannel_axis_rejected(self):
+        with pytest.raises(ValueError):
+            eesm_received(np.empty((0, 4)), self.GAMMA, self.T)
+        with pytest.raises(ValueError):
+            eesm_received([], self.GAMMA, self.T)
+        with pytest.raises(ValueError):
+            eesm_received(5.0, self.GAMMA, self.T)

@@ -248,15 +248,15 @@ class TestHalfDuplex:
 
 
 def count_chunks(monkeypatch) -> list:
-    """Count the chunks the simulator receives, by the one effective_sinr
+    """Count the chunks the simulator receives, by the one eesm_received
     call each makes: one entry per call in the returned list."""
-    inner, calls = sim.effective_sinr, []
+    inner, calls = sim.eesm_received, []
 
     def counted(*args):
         calls.append(1)
         return inner(*args)
 
-    monkeypatch.setattr(sim, "effective_sinr", counted)
+    monkeypatch.setattr(sim, "eesm_received", counted)
     return calls
 
 
