@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
@@ -315,9 +315,9 @@ _RULES = [np.polynomial.legendre.leggauss(n) for n in (24, 32)]
 
 
 class _PlrNodes:
-    """plr's lambda-free arrays for one config: nodes and weights, p_nc and
-    success_prob's load-free part (the doomed mask and the radius sum S) from
-    one set of exclusion radii, and hy of one width.
+    """plr's lambda-free arrays for one load-free config: nodes and weights,
+    p_nc and success_prob's load-free part (the doomed mask and the radius
+    sum S) from one set of exclusion radii, and hy of one (width, nu).
 
     When r_T, the largest breakpoint, is below R, p_s falls to 0 there as
     exp(-k (r_T - r)^(-1/3)), a boundary layer that plain Gauss-Legendre
@@ -326,7 +326,6 @@ class _PlrNodes:
     """
 
     def __init__(self, config: ScenarioConfig):
-        self.config = config
         breaks = reception_breakpoints(config)
         ends = np.array([0.0, *(b for b in breaks if 0.0 < b < config.range_r),
                          config.range_r])
@@ -345,11 +344,17 @@ class _PlrNodes:
         rho = _exclusion_radii(self.r, config)
         self.p_nc = _noncollision_from_profile(_interference_weights(config), rho)
         self.doomed, self.radius_sum = _success_terms(self.r, rho, config)
-        self.hy_width, self.hy = 0, None
+        self.hy_key, self.hy = None, None
 
 
-# the running capacity solve's nodes, for its plr calls; unset outside a solve
-_SOLVE_NODES: ContextVar[_PlrNodes | None] = ContextVar("_SOLVE_NODES", default=None)
+# what _PlrNodes depends on: every field but the load, nu and the PLR target
+_load_free_key = operator.attrgetter(*(
+    f.name for f in fields(ScenarioConfig)
+    if f.name not in ("lambda_rate", "repetitions_nu", "plr_target")))
+
+# the node arrays plr reuses, by load-free key: those of the running capacity
+# solve, or of every config the running sweep batch has met; unset otherwise
+_SHARED_NODES: ContextVar[dict | None] = ContextVar("_SHARED_NODES", default=None)
 
 
 def plr(lambda_rate: float, config: ScenarioConfig, *,
@@ -365,19 +370,20 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     validity flag is set when the recursion clamped at some node, so it
     samples the load's clamped region at the nodes only.  On a flagged point
     the clamp puts a kink that no breakpoint splits, and the error estimate
-    is no bound there.  Inside a capacity solve on this config the
-    lambda-free node arrays are the solve's, with the same result bit for
-    bit.
+    is no bound there.  Inside a capacity solve or sweep batch that has met
+    a config of the same load-free key, the lambda-free node arrays are that
+    config's, with the same result bit for bit.
     """
     if not 0.0 < lambda_rate < math.inf:
         raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")
-    nodes = _SOLVE_NODES.get()
-    nodes = nodes if nodes is not None and nodes.config is config else _PlrNodes(config)
+    shared = _SHARED_NODES.get() or {}
+    nodes = shared.get(_load_free_key(config)) or _PlrNodes(config)
     cfg = config.with_lambda(lambda_rate)
     p_s = _success_from_terms(nodes.doomed, nodes.radius_sum, cfg)
     op = _RecursionOperator(cfg, truncation_k)
-    if op.width != nodes.hy_width:  # hy is kept only if it fits the chunk bound
-        nodes.hy_width, nodes.hy = op.width, op.hy(nodes.p_nc) if op.chunk >= len(p_s) else None
+    if (op.width, op.nu) != nodes.hy_key:  # hy is kept only if it fits the chunk bound
+        nodes.hy_key = op.width, op.nu
+        nodes.hy = op.hy(nodes.p_nc) if op.chunk >= len(p_s) else None
     values, clamped = op.plr_r(p_s, nodes.p_nc, nodes.hy)
     # summed node by node, in order
     coarse_w, fine_w = nodes.weights
@@ -386,6 +392,11 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     fine = sum(map(operator.mul, fine_w, values[len(coarse_w):])) / config.range_r
     return PlrCurvePoint(lambda_rate, plr=float(fine), error_estimate=float(abs(fine - coarse)),
                          validity_warning=bool(clamped.any()))
+
+
+def _slope(p: tuple[float, float], q: tuple[float, float]) -> float:
+    """Slope of the line through points p and q."""
+    return (q[1] - p[1]) / (q[0] - p[0])
 
 
 def capacity(config: ScenarioConfig) -> CapacityResult:
@@ -397,55 +408,74 @@ def capacity(config: ScenarioConfig) -> CapacityResult:
     A step is at least 0.1 * 2^i at the i-th load and at most one decade,
     and a load with no finite f (PLR = 0, or p >= 1: infeasible) steps a
     decade; loads are clamped to [LAMBDA_LO, LAMBDA_CAP], those ends
-    exactly.  Once the last two loads bracket the crossing, an Illinois
-    secant on f narrows the bracket to REL_TOL, each load at least
-    log(1 + REL_TOL) / 2 inside it.  A secant step bisects after two in a
-    row that failed to halve the log-bracket, or at an end with no finite f.
-    So at most 11 + 3 * 12 loads, and typically 4-9.  Monotonicity is
-    checked on the PLR samples and flagged, not assumed; the validity flag
-    is that of the returned capacity's PLR.
+    exactly.  Once the last two loads bracket the crossing, each load is
+    aimed where the line through the two newest finite samples crosses
+    f = 0.  With tol = log(1 + REL_TOL): an aim within tol of a bracket end
+    puts the load just under tol from that end, so that one correct guess
+    closes the bracket; any other aim puts it tol / 2 further, away from the
+    newest sample; and every load stays at least tol / 2 inside the
+    bracket.  A load bisects after two in a row that failed to halve the
+    log-bracket, or when the two newest samples give no aim.  So at most
+    11 + 3 * 12 loads, and typically 5 or 6.  Monotonicity is checked on the
+    PLR samples and flagged, not assumed; the validity flag is that of the
+    returned capacity's PLR.
     """
     samples: dict[float, PlrCurvePoint] = {}
+    trail: list[tuple[float, float]] = []  # (log(lambda), f) of the finite samples, in order
 
     def excess(lam: float) -> float:  # log(PLR / target), <= 0 where lam is feasible
         try:
             samples[lam] = plr(lam, config)
         except TrafficIntensityError:
             return math.inf
-        value = samples[lam].plr
-        return math.log(value / config.plr_target) if value > 0.0 else -math.inf
+        if (value := samples[lam].plr) <= 0.0:
+            return -math.inf
+        trail.append((math.log(lam), math.log(value / config.plr_target)))
+        return trail[-1][1]
 
-    token = _SOLVE_NODES.set(_PlrNodes(config))
+    shared = _SHARED_NODES.get()
+    shared = {} if shared is None else shared
+    if (key := _load_free_key(config)) not in shared:
+        shared[key] = _PlrNodes(config)
+    token = _SHARED_NODES.set(shared)
     try:
         # step away from LAMBDA_START until f changes sign or an end is reached
         lam, f = LAMBDA_START, excess(LAMBDA_START)
-        up, last, finite, floor = f <= 0.0, (lam, f), None, 0.1
+        up, last, floor = f <= 0.0, lam, 0.1
         while (f <= 0.0) == up and lam != (LAMBDA_CAP if up else LAMBDA_LO):
-            last, x, step = (lam, f), math.log(lam), math.log(10.0)
+            last, x, step = lam, math.log(lam), math.log(10.0)
             if math.isfinite(f):
-                slope = 1.0 if finite is None else max((f - finite[1]) / (x - finite[0]), 0.5)
-                step, finite = min(max(abs(f) / slope + 0.1, floor), step), (x, f)
+                slope = 1.0 if len(trail) < 2 else max(_slope(*trail[-2:]), 0.5)
+                step = min(max(abs(f) / slope + 0.1, floor), step)
             x, floor = x + (step if up else -step), 2.0 * floor
             lam = (LAMBDA_CAP if x >= math.log(LAMBDA_CAP) else
                    LAMBDA_LO if x <= math.log(LAMBDA_LO) else math.exp(x))
             f = excess(lam)
         if (f <= 0.0) == up:  # no crossing: feasible at the cap, or not at the floor
-            last = (lam, f) if up else (0.0, -math.inf)
-        (lo, f_lo), (hi, f_hi) = sorted([last, (lam, f)])
-        guard, kept, stalls = 0.5 * math.log1p(REL_TOL), "", 0
+            last = lam if up else 0.0
+        lo, hi = sorted([last, lam])
+        tol, stalls = math.log1p(REL_TOL), 0
         while lo > 0.0 and hi / lo > 1.0 + REL_TOL:
             a, b = math.log(lo), math.log(hi)
-            secant = stalls < 2 and math.isfinite(f_lo) and math.isfinite(f_hi)
-            x = b - f_hi * (b - a) / (f_hi - f_lo) if secant else 0.5 * (a + b)
-            mid = math.exp(min(max(x, a + guard), b - guard))
-            # Illinois: the excess of an end kept twice in a row is halved
-            if (f_mid := excess(mid)) <= 0.0:
-                lo, f_lo, f_hi, kept = mid, f_mid, f_hi / (2.0 if kept == "hi" else 1.0), "hi"
+            x = math.nan  # the aim
+            if stalls < 2 and len(trail) > 1 and (slope := _slope(*trail[-2:])) != 0.0:
+                x = trail[-1][0] - trail[-1][1] / slope
+            if not (secant := math.isfinite(x)):
+                x = 0.5 * (a + b)
+            elif x < a + tol:
+                x = a + (1.0 - 1e-6) * tol
+            elif x > b - tol:
+                x = b - (1.0 - 1e-6) * tol
+            else:  # a secant tends to keep its loads on one side of the crossing
+                x += 0.5 * tol if x > trail[-1][0] else -0.5 * tol
+            mid = math.exp(min(max(x, a + 0.5 * tol), b - 0.5 * tol))
+            if excess(mid) <= 0.0:
+                lo = mid
             else:
-                hi, f_hi, f_lo, kept = mid, f_mid, f_lo / (2.0 if kept == "lo" else 1.0), "lo"
+                hi = mid
             stalls = stalls + 1 if secant and math.log(hi / lo) > 0.5 * (b - a) else 0
     finally:
-        _SOLVE_NODES.reset(token)
+        _SHARED_NODES.reset(token)
 
     values = np.array([samples[lam].plr for lam in sorted(samples)])
     nonmonotonic = np.any(np.diff(values) < -1e-9 * np.maximum(np.abs(values[:-1]), 1e-300))
@@ -454,8 +484,14 @@ def capacity(config: ScenarioConfig) -> CapacityResult:
                           validity_warning=lo in samples and samples[lo].validity_warning)
 
 
-def _sweep_worker(config: ScenarioConfig, overrides: dict) -> CapacityResult:
-    return capacity(validate_config(replace(config, **overrides)))
+def _sweep_batch(config: ScenarioConfig, batch: list[dict]) -> list[CapacityResult]:
+    """capacity of each row of a sweep batch; rows of one load-free key share
+    their node arrays."""
+    token = _SHARED_NODES.set({})
+    try:
+        return [capacity(validate_config(replace(config, **o))) for o in batch]
+    finally:
+        _SHARED_NODES.reset(token)
 
 
 def capacity_sweep(config: ScenarioConfig, grid: Mapping[str, Sequence], *,
@@ -463,10 +499,17 @@ def capacity_sweep(config: ScenarioConfig, grid: Mapping[str, Sequence], *,
     """Capacity over the cartesian product of parameter value lists.
 
     grid maps ScenarioConfig field names (e.g. repetitions_nu,
-    num_subchannels_b, plr_target) to value lists.  Rows come back in grid
-    order regardless of the number of workers.
+    num_subchannels_b, plr_target) to value lists.  The rows are dealt
+    round-robin to one batch per worker, each batch one pool task.  Rows come
+    back in grid order, and bit for bit the same, regardless of the number
+    of workers.
     """
     if "lambda_rate" in grid:
         raise ValueError("lambda_rate is the quantity capacity solves for; it cannot be swept")
     combos = [dict(zip(grid, values)) for values in product(*grid.values())]
-    return list(zip(combos, pool_map(_sweep_worker, [(config, o) for o in combos], workers)))
+    n = max(1, min(workers, len(combos)))
+    batches = pool_map(_sweep_batch, [(config, combos[k::n]) for k in range(n)], workers)
+    results: list = [None] * len(combos)
+    for k, batch in enumerate(batches):
+        results[k::n] = batch
+    return list(zip(combos, results))

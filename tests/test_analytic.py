@@ -5,6 +5,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +28,17 @@ from mode2cap import (
     success_prob,
     transmit_probability,
     truncation_depth,
+    validate_config,
 )
 from mode2cap.analytic import (
-    _SOLVE_NODES,
+    _SHARED_NODES,
     LAMBDA_CAP,
     LAMBDA_START,
     MAX_TRUNCATION_DEPTH,
     REL_TOL,
     _binomial_rows,
     _diagonal_index,
+    _load_free_key,
     _noncollision_from_profile,
     _PlrNodes,
     _RecursionOperator,
@@ -354,11 +357,11 @@ class TestPlr:
             return plr_r(op, p_s, p_nc, hy)
 
         monkeypatch.setattr(_RecursionOperator, "plr_r", recording)
-        token = _SOLVE_NODES.set(nodes)
+        token = _SHARED_NODES.set({_load_free_key(cfg): nodes})
         try:
             plr(lam, cfg)
         finally:
-            _SOLVE_NODES.reset(token)
+            _SHARED_NODES.reset(token)
         want = success_prob(nodes.r, cfg.with_lambda(lam))
         assert np.array_equal(seen[0], want)
         # beyond r_T < R noise alone breaks reception
@@ -504,15 +507,35 @@ class TestCapacity:
         result = capacity(cfg)
         assert len(loads) == len(set(loads))
         # from lambda = 1 a decade up brackets the capacity, and the secant
-        # closes the bracket in at most 5 more loads here
+        # closes the bracket in at most 4 more loads here
         assert 10.0 < result.capacity < 100.0
-        assert len(loads) <= 7
+        assert len(loads) <= 6
+
+    def test_solve_on_a_truncation_step_takes_10_loads(self, monkeypatch):
+        # B = 3, PLR 1e-2, nu = 8: the capacity sits where the truncation
+        # depth K steps from 1 to 2 and PLR jumps by 7 % within 0.1 % of load,
+        # so the secant cannot use the slope there and bisects
+        cfg = make_scenario(num_subchannels_b=3, repetitions_nu=8, plr_target=1e-2)
+        loads = []
+
+        def counting(lam, config):
+            loads.append(lam)
+            return plr(lam, config)
+
+        monkeypatch.setattr("mode2cap.analytic.plr", counting)
+        cap = capacity(cfg).capacity
+        monkeypatch.undo()
+        assert len(loads) == len(set(loads)) == 10
+        assert truncation_depth(cfg.with_lambda(cap)) == 1
+        assert truncation_depth(cfg.with_lambda(cap * (1.0 + REL_TOL))) == 2
+        assert plr(cap, cfg).plr <= cfg.plr_target < plr(cap * (1.0 + REL_TOL), cfg).plr
 
     @pytest.mark.parametrize("nu", range(9))
     @pytest.mark.parametrize("target", [1e-2, 1e-5])
     def test_optimal_nu_solves_take_at_most_12_loads(self, monkeypatch, nu, target):
         # the nu sweep of criterion 6 and the optimal-nu benchmark; they take
-        # 4-7 loads each
+        # 4-6 loads each (the name predates two tighter bounds and is kept
+        # with its test ids)
         cfg = make_scenario(num_subchannels_b=10, repetitions_nu=nu, plr_target=target)
         loads = []
 
@@ -522,7 +545,7 @@ class TestCapacity:
 
         monkeypatch.setattr("mode2cap.analytic.plr", counting)
         capacity(cfg)
-        assert len(loads) <= 8
+        assert len(loads) <= 6
 
     @pytest.mark.parametrize("shape", ["steep", "jump", "model_edge", "flat"])
     def test_hard_plr_shapes_end_within_worst_case(self, scenario, monkeypatch, shape):
@@ -583,7 +606,7 @@ class TestCapacity:
         monkeypatch.setattr("mode2cap.analytic.plr", recording)
         result = capacity(cfg)
         monkeypatch.undo()
-        assert _SOLVE_NODES.get() is None
+        assert _SHARED_NODES.get() is None
         assert result.capacity in [lam for lam, _, _ in inside]
         for lam, point, point_other in inside:
             assert point == plr(lam, cfg)
@@ -606,6 +629,26 @@ class TestCapacity:
         serial = capacity_sweep(scenario, grid, workers=1)
         parallel = capacity_sweep(scenario, grid, workers=2)
         assert serial == parallel
+
+    def test_sweep_batches_equal_per_row_solves(self, scenario):
+        # two load-free configs (B = 5, 10), each met by consecutive rows of
+        # one batch on one worker; there a nu = 1 row at 1e-5 (K = 2) ends
+        # on recursion width 5 and the nu = 3 row at 1e-2 after it (K = 1)
+        # starts on width 5, so hy keyed on the width alone would carry over
+        grid = {"num_subchannels_b": [5, 10], "repetitions_nu": [1, 3],
+                "plr_target": [1e-2, 1e-5]}
+        combos = [dict(zip(grid, values)) for values in product(*grid.values())]
+        configs = [validate_config(replace(scenario, **o)) for o in combos]
+        per_row = [capacity(cfg) for cfg in configs]
+        for b in grid["num_subchannels_b"]:
+            i = combos.index({"num_subchannels_b": b, "repetitions_nu": 1, "plr_target": 1e-5})
+            end = _RecursionOperator(configs[i].with_lambda(per_row[i].capacity))
+            start = _RecursionOperator(configs[i + 1].with_lambda(LAMBDA_START))
+            assert (end.width, end.nu) == (5, 1) and (start.width, start.nu) == (5, 3)
+        for workers in (1, 2, 3):
+            rows = capacity_sweep(scenario, grid, workers=workers)
+            assert [o for o, _ in rows] == combos
+            assert [r for _, r in rows] == per_row
 
     def test_sweeping_lambda_rejected(self, scenario):
         with pytest.raises(ValueError, match="lambda_rate"):
