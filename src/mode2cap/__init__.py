@@ -17,7 +17,6 @@ from .config import (
 )
 from .link import (
     eesm_received,
-    effective_sinr,
     exclusion_radius,
     overlap_distribution,
     pathloss,

@@ -83,22 +83,26 @@ class CapacityResult:
         return tuple(name for name, on in named if on)
 
 
-def _interference_weights(config: ScenarioConfig) -> np.ndarray:
-    """Overlap probabilities for m = 1..M (index 0 dropped)."""
-    return np.asarray(overlap_distribution(
-        config.num_subchannels_b, config.packet_width_m)[1:], dtype=float)
-
-
-def _exclusion_radii(r: ArrayLike, config: ScenarioConfig) -> np.ndarray:
-    """Exclusion radii for overlaps m = 1..M along a new last axis of r."""
-    overlaps = np.arange(1, config.packet_width_m + 1)
-    return exclusion_radius(np.asarray(r, dtype=float)[..., None], overlaps, config)
-
-
 def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_m weights[m] * values[..., m], with the same summation order for
     every shape of values (a BLAS dot or matmul may reorder it)."""
     return (values * weights).sum(axis=-1)
+
+
+def _link_terms(r: ArrayLike,
+                config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Load-free link terms at distances r, from one set of exclusion radii
+    rho_m(r), m = 1..M: where success_prob is 0 (doomed), the radius sum
+    S(r) = sum_m P_m * rho_m(r), and repetition_noncollision_prob."""
+    weights = np.asarray(overlap_distribution(
+        config.num_subchannels_b, config.packet_width_m)[1:], dtype=float)
+    r = np.asarray(r, dtype=float)
+    rho = exclusion_radius(r[..., None], np.arange(1, config.packet_width_m + 1), config)
+    active = weights > 0.0
+    doomed = (sinr_no_interference(r, config) <= config.sinr_threshold_t) \
+        | np.any(np.isinf(rho) & active, axis=-1)
+    radius_sum = _weighted_sum(np.where(active, rho, 0.0), weights)
+    return doomed, radius_sum, _noncollision_from_profile(weights, rho)
 
 
 def success_prob(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
@@ -109,27 +113,16 @@ def success_prob(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     kills the packet iff it falls inside the exclusion radius of the realized
     overlap.  Zero when noise alone already breaks reception (SINR0 <= T) or
     when some possible overlap has an unbounded exclusion radius.  Only p
-    depends on the load: `plr` keeps the rest per node and calls the same two
-    helpers.
+    depends on the load: `plr` keeps the rest per node, from the same
+    `_link_terms`.
     """
-    doomed, radius_sum = _success_terms(r, _exclusion_radii(r, config), config)
+    doomed, radius_sum, _ = _link_terms(r, config)
     return _success_from_terms(doomed, radius_sum, config)
-
-
-def _success_terms(r: ArrayLike, rho: np.ndarray,
-                   config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """success_prob's load-free part at distances r with exclusion radii
-    rho[..., m]: where it is 0 (doomed), and the radius sum S(r)."""
-    weights = _interference_weights(config)
-    active = weights > 0.0
-    doomed = (sinr_no_interference(r, config) <= config.sinr_threshold_t) \
-        | np.any(np.isinf(rho) & active, axis=-1)
-    return doomed, _weighted_sum(np.where(active, rho, 0.0), weights)
 
 
 def _success_from_terms(doomed: np.ndarray, radius_sum: np.ndarray,
                         config: ScenarioConfig) -> float | np.ndarray:
-    """success_prob at the config's load, from _success_terms."""
+    """success_prob at the config's load, from _link_terms."""
     exponent = 2.0 * config.phi * transmit_probability(config) * radius_sum
     return np.where(doomed, 0.0, np.exp(-exponent))[()]
 
@@ -138,8 +131,7 @@ def repetition_noncollision_prob(r: ArrayLike,
                                  config: ScenarioConfig) -> float | np.ndarray:
     """Probability that a repetition escapes the interferer that collided with
     the first attempt, given both repeat in the same slot."""
-    return _noncollision_from_profile(_interference_weights(config),
-                                      _exclusion_radii(r, config))
+    return _link_terms(r, config)[2]
 
 
 def _noncollision_from_profile(weights: np.ndarray,
@@ -290,8 +282,10 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
     collision probabilities (degenerate-regime checks); by default they are
     computed from the config at distance r.
     """
-    p_s = success_prob(r, config) if p_s is None else p_s
-    p_nc = repetition_noncollision_prob(r, config) if p_nc is None else p_nc
+    if p_s is None or p_nc is None:
+        doomed, radius_sum, link_nc = _link_terms(r, config)
+        p_s = _success_from_terms(doomed, radius_sum, config) if p_s is None else p_s
+        p_nc = link_nc if p_nc is None else p_nc
     op = _RecursionOperator(config, truncation_k)
     rows, clamped = op.levels(np.array([p_s], dtype=float), np.array([p_nc], dtype=float))
     table = np.stack(rows)[:, 0, :]
@@ -341,9 +335,7 @@ class _PlrNodes:
             r.append(nodes.ravel())
             weights.append(wts.ravel().tolist())
         self.r, self.weights = np.concatenate(r), weights
-        rho = _exclusion_radii(self.r, config)
-        self.p_nc = _noncollision_from_profile(_interference_weights(config), rho)
-        self.doomed, self.radius_sum = _success_terms(self.r, rho, config)
+        self.doomed, self.radius_sum, self.p_nc = _link_terms(self.r, config)
         self.hy_key, self.hy = None, None
 
 

@@ -117,8 +117,6 @@ def load_scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

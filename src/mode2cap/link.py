@@ -1,16 +1,14 @@
 """Link layer shared by the analytic chain and the simulator.
 
-Path loss, per-subchannel SINR, the EESM effective SINR and its threshold
-decision, the overlap law of two random contiguous allocations, and the
-exclusion radius: the minimum distance an interferer must keep for a packet
-to survive a given frequency overlap.  Distances, overlaps and SINRs may be
-numpy arrays: results broadcast over them, and scalar inputs give scalar
-results.
+Path loss, per-subchannel SINR, the EESM reception decision, the overlap law
+of two random contiguous allocations, and the exclusion radius: the minimum
+distance an interferer must keep for a packet to survive a given frequency
+overlap.  Distances, overlaps and SINRs may be numpy arrays: results
+broadcast over them, and scalar inputs give scalar results.
 """
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -119,36 +117,18 @@ def reception_breakpoints(config: ScenarioConfig) -> tuple[float, ...]:
     return tuple(sorted(float(pathloss_distance(s * gain, config)) for s in sinrs))
 
 
-def effective_sinr(per_subchannel_sinr: ArrayLike, gamma: float) -> float | np.ndarray:
-    """EESM collapse of per-subchannel SINRs (the last axis) into one
-    effective SINR.
-
-    -gamma * ln(mean(exp(-sinr_i / gamma))), evaluated in log space so that
-    very large SINRs do not underflow to a bogus infinity.
-    """
-    x = -np.asarray(per_subchannel_sinr, dtype=float) / gamma
-    if x.ndim == 0 or x.shape[-1] == 0:
-        raise ValueError("need at least one subchannel SINR")
-    n = x.shape[-1]
-    # the clamp only acts where every SINR of a row is +inf: x - mx then
-    # stays -inf instead of nan, and log(0) gives the limit, +inf
-    mx = np.maximum(x.max(axis=-1), -sys.float_info.max)
-    with np.errstate(divide="ignore"):
-        return -gamma * (mx + np.log(np.exp(x - mx[..., None]).sum(axis=-1) / n))
-
-
 def eesm_received(per_subchannel_sinr: ArrayLike, gamma: float,
                   threshold: float) -> bool | np.ndarray:
     """EESM reception decision: whether the effective SINR of the
     per-subchannel SINRs along the *first* axis exceeds threshold.
 
-    The same test as effective_sinr(...) > threshold, taken in the linear
-    domain as sum_i exp((threshold - sinr_i) / gamma) < n over the n
-    subchannels: one exp and one sum, and no log.  With the threshold inside
-    the exp, the right-hand side is the exact integer n and no
-    e^(-threshold/gamma) can underflow; a term that underflows to 0 belongs to
-    a SINR far above the threshold, and one that overflows to inf to a SINR
-    far below it, so both decide correctly.
+    The effective SINR is -gamma * ln(mean_i exp(-sinr_i / gamma)) over the n
+    subchannels.  The test that it exceeds threshold is taken in the linear
+    domain as sum_i exp((threshold - sinr_i) / gamma) < n: one exp and one
+    sum, and no log.  With the threshold inside the exp, the right-hand side
+    is the exact integer n and no e^(-threshold/gamma) can underflow; a term
+    that underflows to 0 belongs to a SINR far above the threshold, and one
+    that overflows to inf to a SINR far below it, so both decide correctly.
     """
     x = np.subtract(threshold, per_subchannel_sinr, dtype=float)
     if x.ndim == 0 or x.shape[0] == 0:

@@ -221,7 +221,9 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     pair_rx = np.arange(pair_count.sum()) + np.repeat(rx_lo[tx] - pair_start, pair_count)
     pair_rx += pair_rx >= np.repeat(tx, pair_count)
     received = np.zeros(pair_rx.size, dtype=bool)
-    hd_count = np.zeros(pair_rx.size, dtype=np.int32)
+    # a pair is heard once an attempt finds its receiver free; a lost pair
+    # takes part in every pass, so it is a half-duplex loss iff never heard
+    heard = np.zeros(pair_rx.size, dtype=bool)
 
     # attempts inside the horizon, by slot and, within a slot, by packet
     flat = slots.ravel()
@@ -264,8 +266,8 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
             rx = pair_rx[pair]
             key = att_group[k] * n + rx
             busy = tx_keys[np.minimum(np.searchsorted(tx_keys, key), tx_keys.size - 1)] == key
-            np.add.at(hd_count, pair[busy], 1)
             free = ~busy
+            heard[pair[free]] = True
             # one row per (slot, receiver) of the free pairs, against every
             # attempt of its slot: row after row, in attempt order
             row_key, row = np.unique(key[free], return_inverse=True)
@@ -320,7 +322,7 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
 
     lost = ~received
     return _RepResult(pairs=int(pair_rx.size), losses=int(lost.sum()),
-                      hd_losses=int((lost & (hd_count == nu + 1)).sum()))
+                      hd_losses=int((lost & ~heard).sum()))
 
 
 def run(sim_config: SimConfig, workers: int = 1) -> SimReport:

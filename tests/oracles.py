@@ -2,14 +2,15 @@
 
 Each one reaches a quantity of the package by a different route than the
 package does: brute-force enumeration, a series before its closed form, a
-per-distance profile record, the SINR against one interferer and the EESM
-test of one packet, the loss recursion one distance at a time, PLR on a
-fixed composite quadrature grid, or the simulator's reception as one
-slot-by-slot loop over per-packet records.
+per-distance profile record, the SINR against one interferer, the
+log-domain EESM and its test of one packet, the loss recursion one distance
+at a time, PLR on a fixed composite quadrature grid, or the simulator's
+reception as one slot-by-slot loop over per-packet records.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +27,7 @@ from mode2cap import (
     success_prob,
     transmit_probability,
 )
-from mode2cap.link import effective_sinr, pathloss
+from mode2cap.link import pathloss
 from mode2cap.sim import (
     LOSS_HALF_DUPLEX,
     LOSS_INTERFERENCE,
@@ -81,6 +82,25 @@ def exclusion_profile(r: float, config: ScenarioConfig) -> ExclusionProfile:
     """Exclusion radii for every overlap width 1..M at distance r."""
     overlaps = np.arange(1, config.packet_width_m + 1)
     return ExclusionProfile(tuple(exclusion_radius(r, overlaps, config).tolist()))
+
+
+def effective_sinr(per_subchannel_sinr: Sequence[float] | np.ndarray,
+                   gamma: float) -> float | np.ndarray:
+    """EESM collapse of per-subchannel SINRs (the last axis) into one
+    effective SINR, the log-domain reference for `eesm_received`.
+
+    -gamma * ln(mean(exp(-sinr_i / gamma))), evaluated in log space so that
+    very large SINRs do not underflow to a bogus infinity.
+    """
+    x = -np.asarray(per_subchannel_sinr, dtype=float) / gamma
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError("need at least one subchannel SINR")
+    n = x.shape[-1]
+    # the clamp only acts where every SINR of a row is +inf: x - mx then
+    # stays -inf instead of nan, and log(0) gives the limit, +inf
+    mx = np.maximum(x.max(axis=-1), -sys.float_info.max)
+    with np.errstate(divide="ignore"):
+        return -gamma * (mx + np.log(np.exp(x - mx[..., None]).sum(axis=-1) / n))
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,19 @@ class TestLossRecursion:
             c_hi = max(0, table.valid_c_max(t))
             assert np.all(rows[t, :c_hi + 1] <= rows[t - 1, :c_hi + 1] + 1e-12)
 
+    @pytest.mark.parametrize("kwargs", [{}, dict(range_r=300.0), dict(packet_width_m=5)],
+                             ids=["reference", "range300", "width5"])
+    def test_collision_probs_are_the_public_ones(self, kwargs):
+        # bit for bit and of the same numpy scalar type, on both sides of the
+        # breakpoints (width 5: 131 m and 171 m) and beyond r_T
+        cfg = make_scenario(**kwargs)
+        for r in (10.0, 120.0, 150.0, 190.0, 250.0):
+            table = loss_recursion(r, cfg)
+            for got, want in ((table.p_s, success_prob(r, cfg)),
+                              (table.p_nc, repetition_noncollision_prob(r, cfg))):
+                assert type(got) is type(want)
+                assert float(got).hex() == float(want).hex()
+
     def test_truncation_override(self, scenario):
         base = loss_recursion(100.0, scenario)
         deeper = loss_recursion(100.0, scenario, truncation_k=2 * base.truncation_k)
@@ -348,7 +361,8 @@ class TestPlr:
                              ids=["reference", "range300", "width5"])
     def test_node_success_prob_is_success_prob(self, monkeypatch, kwargs, lam):
         # a solve's plr calls take p_s at its nodes from their doomed mask
-        # and radius sum, kept across loads: bit for bit success_prob's
+        # and radius sum, kept across loads: bit for bit success_prob's; the
+        # nodes' p_nc is repetition_noncollision_prob's
         cfg = make_scenario(**kwargs)
         nodes, seen, plr_r = _PlrNodes(cfg), [], _RecursionOperator.plr_r
 
@@ -366,6 +380,7 @@ class TestPlr:
         assert np.array_equal(seen[0], want)
         # beyond r_T < R noise alone breaks reception
         assert np.any(want == 0.0) == bool(kwargs)
+        assert np.array_equal(nodes.p_nc, repetition_noncollision_prob(nodes.r, cfg))
 
     def test_vanishing_load_vanishing_loss(self, scenario):
         assert plr(1e-6, scenario).plr < 1e-8

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from mode2cap import (
     eesm_received,
-    effective_sinr,
     exclusion_radius,
     pathloss,
     pathloss_distance,
@@ -16,7 +15,7 @@ from mode2cap import (
 )
 
 from conftest import make_scenario
-from oracles import eesm_receive, exclusion_profile, sinr_one_interferer
+from oracles import effective_sinr, eesm_receive, exclusion_profile, sinr_one_interferer
 
 
 class TestPathloss:
