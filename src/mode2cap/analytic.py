@@ -43,9 +43,10 @@ class RecursionTable:
     """Result of one loss-recursion evaluation at a fixed distance.
 
     values[t, c] is the probability of still failing after t attempts with c
-    interferers known to be mid-repetition.  Columns beyond valid_c_max(t)
-    are padding-influenced and excluded from invariant checks; the returned
-    plr_r = values[nu+1, 0] is exact with respect to the truncation depth.
+    interferers known to be mid-repetition.  At level t the top
+    t * truncation_k columns are padding-influenced (the tests' invariant
+    checks leave them out); the returned plr_r = values[nu+1, 0] is exact
+    with respect to the truncation depth.
     """
 
     plr_r: float
@@ -54,10 +55,6 @@ class RecursionTable:
     truncation_k: int
     clamped: bool
     values: np.ndarray
-
-    def valid_c_max(self, t: int) -> int:
-        # the c = 0 column is exact at every level by construction
-        return max(0, self.values.shape[1] - 1 - t * self.truncation_k)
 
 
 @dataclass(frozen=True)

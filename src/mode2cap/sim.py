@@ -7,12 +7,17 @@ picks per attempt, EESM threshold reception with summed interference, and
 half-duplex receivers.  Each replication draws its whole transmission
 schedule first, then receives it in one pass per attempt index, each in
 chunks of consecutive slots, leaving out the pairs already delivered; a
-trace receives every attempt in one pass.  A chunk sums each receiver's
-interference per subchannel with one bincount, gathers every pair's M
-subchannels as M long rows (subchannel-major, with no length-M trailing
-axis), and decides reception with `link.eesm_received`, the EESM threshold
-test in the linear domain.  Serves as the independent oracle for the
-analytic chain at loss levels reachable by counting.
+trace receives every attempt in one pass.  A chunk tests half-duplex
+against its own slots' slice of the sorted transmitter keys, numbers its
+(slot, receiver) rows by a stable sort of their keys and a run-start flag,
+sums each receiver's interference per subchannel with one bincount,
+gathers every pair's M subchannels as M long rows (subchannel-major, with
+no length-M trailing axis), and decides reception with
+`link.eesm_received`, the EESM threshold test in the linear domain.
+Importing the module frees one untouched 8 MiB block, which keeps glibc
+from mapping and faulting in every chunk temporary afresh (see below).
+Serves as the independent oracle for the analytic chain at loss levels
+reachable by counting.
 """
 from __future__ import annotations
 
@@ -30,6 +35,15 @@ from .link import eesm_received, pathloss, pathloss_distance
 
 LOSS_HALF_DUPLEX = "half_duplex"
 LOSS_INTERFERENCE = "interference"
+
+# glibc maps each block above its mmap threshold (128 KiB at start) on its
+# own, and trims the heap top beyond its trim threshold; the reception
+# chunks' temporaries cross that size, so each would be mapped, page-faulted
+# in and returned afresh.  Freeing a mapped block raises the mmap threshold to
+# its size and the trim threshold to twice that, so free one 8 MiB block once
+# per process (forked pool workers inherit the thresholds).  It must come from
+# np.empty: its pages are never written, so it never becomes resident memory.
+np.empty(2 ** 20)
 
 
 @dataclass(frozen=True)
@@ -168,9 +182,11 @@ def _schedule(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int
         inside = first < horizon
         ue, first = ue[inside], first[inside]
         # nu distinct repetition offsets in 1..W-1: the ranks of a row's nu
-        # smallest uniforms
-        ranks = np.argsort(rng.random((ue.size, sc.window_w - 1)), axis=1)[:, :nu]
-        row = np.column_stack([first, first[:, None] + 1 + np.sort(ranks, axis=1)])
+        # smallest uniforms (drawn at nu = 0 too, so the stream stays put)
+        u = rng.random((ue.size, sc.window_w - 1))
+        ranks = (np.sort(np.argpartition(u, nu - 1, axis=1)[:, :nu], axis=1) if nu
+                 else np.empty((ue.size, 0), np.intp))
+        row = np.column_stack([first, first[:, None] + 1 + ranks])
         tx.append(ue)
         slots.append(row)
         subs.append(rng.integers(0, sc.num_subchannels_b - sc.packet_width_m + 1,
@@ -182,12 +198,12 @@ def _schedule(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int
 
 
 # bound on a chunk's pairs times attempts (see the chunking below).  Serial
-# replications, 2 cores, median of 7 rounds at 2**13 / 2**14 / 2**15 / 2**16:
-# 0.095 / 0.086 / 0.091 / 0.125 s at the sim-crosscheck nu = 0 point, 0.28 /
-# 0.22 / 0.21 / 0.24 s at its nu = 2 point, and 0.14 / 0.13 / 0.14 / 0.13 s at
-# nu = 5, lambda = 3, 1000 UEs x 5000 slots; no other bound is faster at all
-# three
-_CHUNK_ELEMENTS = 2 ** 14
+# replications, 2 cores, median of 7 rounds at 2**14 / 2**15 / 2**16, with the
+# allocator thresholds raised: 0.125 / 0.118 / 0.121 s at the sim-crosscheck
+# nu = 0 point, 0.317 / 0.295 / 0.294 s at its nu = 2 point, and 0.161 /
+# 0.146 / 0.139 s at nu = 5, lambda = 3, 1000 UEs x 5000 slots.  2**16 gains
+# little more and leaves small runs a single chunk per pass
+_CHUNK_ELEMENTS = 2 ** 15
 
 
 def _simulate_replication(sim_config: SimConfig, replication: int,
@@ -233,11 +249,12 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     att_tx, att_sub, att_len = tx[att_pkt], subs[att_pkt, att_ai], pair_count[att_pkt]
     att_pos = pos[att_tx]
     # the slots that hold attempts: slot g holds attempts first[g] to
-    # first[g] + count[g] - 1, and a UE is busy in it if its key g * n + ue
-    # is a transmitter's
-    first = np.flatnonzero(np.diff(att_slot, prepend=-1))
-    count = np.diff(first, append=att_slot.size)
-    att_group = np.repeat(np.arange(first.size), count)
+    # first[g + 1] - 1 (the last bound is att_slot.size), and a UE is busy in
+    # it if its key g * n + ue is a transmitter's; those keys are sorted, so
+    # slot g's are tx_keys[first[g]:first[g + 1]]
+    first = np.append(np.flatnonzero(np.diff(att_slot, prepend=-1)), att_slot.size)
+    count = np.diff(first)
+    att_group = np.repeat(np.arange(count.size), count)
     tx_keys = np.sort(att_group * n + att_tx)
 
     # a trace receives every attempt in one pass; otherwise pass i receives
@@ -263,14 +280,25 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
         starts = slot_at[np.flatnonzero(np.diff(chunk, prepend=-1))]
         for a, b in zip(starts.tolist(), np.r_[starts[1:], pass_k.size].tolist()):
             k, pair = pass_k[a:b], pass_pair[a:b]
-            rx = pair_rx[pair]
-            key = att_group[k] * n + rx
-            busy = tx_keys[np.minimum(np.searchsorted(tx_keys, key), tx_keys.size - 1)] == key
+            rx, group = pair_rx[pair], att_group[k]
+            key = group * n + rx
+            # the half-duplex test searches only the chunk's own slots' keys,
+            # a slice small enough to stay in cache
+            chunk_keys = tx_keys[first[group[0]]:first[group[-1] + 1]]
+            busy = chunk_keys[np.minimum(np.searchsorted(chunk_keys, key),
+                                         chunk_keys.size - 1)] == key
             free = ~busy
             heard[pair[free]] = True
             # one row per (slot, receiver) of the free pairs, against every
-            # attempt of its slot: row after row, in attempt order
-            row_key, row = np.unique(key[free], return_inverse=True)
+            # attempt of its slot: row after row, in attempt order.  The keys
+            # arrive as ascending runs, one per attempt, which a stable sort
+            # merges; a run-start flag numbers the rows in key order
+            free_key = key[free]
+            by_key = np.argsort(free_key, kind="stable")
+            sorted_key = free_key[by_key]
+            run_start = np.diff(sorted_key, prepend=-1) != 0
+            row_key, row = sorted_key[run_start], np.empty_like(by_key)
+            row[by_key] = np.cumsum(run_start) - 1
             row_group, row_rx = np.divmod(row_key, n)
             width = count[row_group]
             cross_row = np.repeat(np.arange(row_key.size), width)
@@ -310,7 +338,7 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
             if recorder is not None:
                 # by slot; within a slot its half-duplex blocks first, then its
                 # receptions, each in pair order
-                by_slot = np.lexsort((free, att_group[k]))
+                by_slot = np.lexsort((free, group))
                 fields = (att_pkt[k], att_ai[k], att_slot[k], att_sub[k], rx, att_tx[k], busy,
                           success)
                 for pid, ai, s, sub, rx_id, ue, hd, ok in zip(

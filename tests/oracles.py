@@ -4,8 +4,9 @@ Each one reaches a quantity of the package by a different route than the
 package does: brute-force enumeration, a series before its closed form, a
 per-distance profile record, the SINR against one interferer, the
 log-domain EESM and its test of one packet, the loss recursion one distance
-at a time, PLR on a fixed composite quadrature grid, or the simulator's
-reception as one slot-by-slot loop over per-packet records.
+at a time, PLR on a fixed composite quadrature grid, the simulator's schedule
+by full sorts, or the simulator's reception as one slot-by-slot loop over
+per-packet records.
 """
 from __future__ import annotations
 
@@ -22,11 +23,10 @@ from mode2cap import (
     exclusion_radius,
     loss_recursion,
     overlap_distribution,
-    repetition_noncollision_prob,
     repetition_probability,
-    success_prob,
     transmit_probability,
 )
+from mode2cap.analytic import RecursionTable, _link_terms, _success_from_terms
 from mode2cap.link import pathloss
 from mode2cap.sim import (
     LOSS_HALF_DUPLEX,
@@ -202,6 +202,13 @@ def loss_recursion_per_node(p_s: float, p_nc: float, config: ScenarioConfig,
 
 
 
+def valid_c_max(table: RecursionTable, t: int) -> int:
+    """Largest column c of table.values[t] that the truncation padding cannot
+    reach: the top t * truncation_k columns of level t are padding-influenced
+    (the c = 0 column is exact at every level by construction)."""
+    return max(0, table.values.shape[1] - 1 - t * table.truncation_k)
+
+
 def plr_composite(lambda_rate: float, config: ScenarioConfig, panels: int = 8,
                   points: int = 16) -> float:
     """PLR by composite Gauss-Legendre quadrature on `panels` equal panels of
@@ -213,10 +220,37 @@ def plr_composite(lambda_rate: float, config: ScenarioConfig, panels: int = 8,
     x, w = np.polynomial.legendre.leggauss(points)
     half = 0.5 * cfg.range_r / panels
     r = ((2.0 * np.arange(panels) + 1.0)[:, None] * half + half * x).ravel()
+    doomed, radius_sum, p_nc = _link_terms(r, cfg)
     values = [loss_recursion(ri, cfg, p_s=a, p_nc=b).plr_r for ri, a, b in zip(
-        r.tolist(), success_prob(r, cfg).tolist(),
-        repetition_noncollision_prob(r, cfg).tolist())]
+        r.tolist(), _success_from_terms(doomed, radius_sum, cfg).tolist(), p_nc.tolist())]
     return float(np.dot(np.tile(w, panels), values)) * half / cfg.range_r
+
+
+def schedule_reference(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The simulator's schedule with each row's repetition offsets taken by a
+    full argsort of its uniforms: the same draws in the same order as
+    `sim._schedule`, which takes the nu smallest by a partition instead.
+    """
+    tau, nu, mean_gap = sc.slot_tau, sc.repetitions_nu, 1.0 / sc.lambda_rate
+    ue, t = np.arange(n), rng.exponential(mean_gap, size=n)
+    tx, slots, subs = [], [], []
+    while ue.size:
+        first = np.floor(t / tau).astype(np.int64) + 1
+        inside = first < horizon
+        ue, first = ue[inside], first[inside]
+        # nu distinct repetition offsets in 1..W-1: the ranks of a row's nu
+        # smallest uniforms
+        ranks = np.argsort(rng.random((ue.size, sc.window_w - 1)), axis=1)[:, :nu]
+        row = np.column_stack([first, first[:, None] + 1 + np.sort(ranks, axis=1)])
+        tx.append(ue)
+        slots.append(row)
+        subs.append(rng.integers(0, sc.num_subchannels_b - sc.packet_width_m + 1,
+                                 size=row.shape))
+        t = (row[:, -1] + 1) * tau + rng.exponential(mean_gap, size=ue.size)
+    tx, slots, subs = (np.concatenate(a) for a in (tx, slots, subs))
+    order = np.argsort(slots[:, 0], kind="stable")
+    return tx[order], slots[order], subs[order]
 
 
 class _Packet:

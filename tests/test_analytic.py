@@ -45,7 +45,8 @@ from mode2cap.analytic import (
 )
 
 from conftest import make_scenario
-from oracles import loss_recursion_per_node, plr_composite, success_prob_series
+from oracles import (loss_recursion_per_node, plr_composite, success_prob_series,
+                     valid_c_max)
 
 
 class TestSuccessProb:
@@ -225,7 +226,7 @@ class TestLossRecursion:
         table = loss_recursion(120.0, cfg)
         rows = table.values
         for t in range(1, rows.shape[0]):
-            c_hi = max(0, table.valid_c_max(t))
+            c_hi = valid_c_max(table, t)
             assert np.all(rows[t, :c_hi + 1] <= rows[t - 1, :c_hi + 1] + 1e-12)
 
     @pytest.mark.parametrize("kwargs", [{}, dict(range_r=300.0), dict(packet_width_m=5)],

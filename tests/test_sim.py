@@ -20,7 +20,7 @@ from mode2cap import sim
 from mode2cap.sim import _schedule, _simulate_replication
 
 from conftest import make_scenario
-from oracles import simulate_replication_reference
+from oracles import schedule_reference, simulate_replication_reference
 
 
 def small_sim(**kw):
@@ -191,6 +191,31 @@ class TestSchedules:
         se = shares.std(ddof=1) / math.sqrt(shares.size)
         assert shares.size > 10000
         assert abs(shares.mean() - expected) <= 5.0 * se
+
+    @pytest.mark.parametrize("seed", [3, 301, 12345])
+    @pytest.mark.parametrize("nu, scenario_kw", [
+        (0, dict(lambda_rate=20.0)),
+        (1, dict(lambda_rate=30.0)),
+        (2, dict(lambda_rate=30.0)),
+        (5, dict(lambda_rate=3.0)),
+        # W - 1 == nu: every slot of the window is taken
+        (8, dict(lambda_rate=3.0, delay_budget=4.5e-3)),
+    ], ids=["nu0", "nu1", "nu2", "nu5", "nu8_full_window"])
+    def test_schedule_matches_full_sort(self, nu, scenario_kw, seed):
+        # the partition-based draw of the repetition offsets against a full
+        # argsort of the same uniforms: equal arrays, element for element, and
+        # the generator left in the same state
+        sc = make_scenario(repetitions_nu=nu, **scenario_kw)
+        assert nu < 8 or sc.window_w - 1 == nu
+        rng, ref_rng = replication_rng(seed, 0), replication_rng(seed, 0)
+        got = _schedule(sc, rng, 300, 4000)
+        want = schedule_reference(sc, ref_rng, 300, 4000)
+        assert got[0].size > 1000
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+        # Philox's state holds arrays: compare it field by field
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
     def test_single_repetition_has_two_attempts(self):
         cfg = small_sim(scenario_kw=dict(repetitions_nu=1, lambda_rate=20.0))
