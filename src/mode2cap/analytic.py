@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import (ConfigError, ScenarioConfig, TrafficIntensityError, pool_map,
-                     repetition_probability, transmit_probability, truncation_depth,
+from .config import (ConfigError, ScenarioConfig, TrafficIntensityError, geometric_depth,
+                     pool_map, repetition_probability, transmit_probability,
                      validate_config)
 from .link import (exclusion_radius, overlap_distribution, reception_breakpoints,
                    sinr_no_interference)
@@ -114,13 +114,13 @@ def success_prob(r: ArrayLike, config: ScenarioConfig) -> float | np.ndarray:
     `_link_terms`.
     """
     doomed, radius_sum, _ = _link_terms(r, config)
-    return _success_from_terms(doomed, radius_sum, config)
+    return _success_from_terms(doomed, radius_sum, config.phi, transmit_probability(config))
 
 
-def _success_from_terms(doomed: np.ndarray, radius_sum: np.ndarray,
-                        config: ScenarioConfig) -> float | np.ndarray:
-    """success_prob at the config's load, from _link_terms."""
-    exponent = 2.0 * config.phi * transmit_probability(config) * radius_sum
+def _success_from_terms(doomed: np.ndarray, radius_sum: np.ndarray, phi: float,
+                        p: float) -> float | np.ndarray:
+    """success_prob at density phi and transmit probability p, from _link_terms."""
+    exponent = 2.0 * phi * p * radius_sum
     return np.where(doomed, 0.0, np.exp(-exponent))[()]
 
 
@@ -154,9 +154,12 @@ def _noncollision_from_profile(weights: np.ndarray,
                     np.where(denom == 0.0, 1.0, 1.0 - ratio))[()]
 
 
-# a capacity solve meets a few truncation depths, hence widths (at most three
-# over B = 3..20, nu = 0..8 and PLR 1e-2..1e-5)
-@lru_cache(maxsize=8)
+# The loss recursion's load-free arrays live here, one copy per process,
+# filled on first use and shared by every load, solve and sweep row after it.
+# A solve's loads meet one to three truncation depths, and a sweep over
+# B = 3..20, nu = 0..8 and PLR {1e-2, 1e-5} meets 28 mixing keys in all, so
+# 256 entries hold several such sweeps.  Their arrays are read-only.
+@lru_cache(maxsize=256)
 def _mixing_matrices(width: int, p_rep: float,
                      q_last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Binomial mixing matrices of the loss recursion, read-only.
@@ -165,8 +168,7 @@ def _mixing_matrices(width: int, p_rep: float,
     g_last[i, j] = P(j of those i transmit their last repetition).  h is the
     two mixings composed and re-indexed, h[c, d] = (g_rep @ g_last)[c, c - d]
     for d <= c and 0 above the diagonal, so that
-    sum_j (g_rep @ g_last)[c, j] * x[c - j] = sum_d h[c, d] * x[d].  None of
-    them depends on lambda, so a capacity solve builds them once per width.
+    sum_j (g_rep @ g_last)[c, j] * x[c - j] = sum_d h[c, d] * x[d].
     """
     g_rep = _binomial_rows(width, p_rep)
     g_last = _binomial_rows(width, q_last)
@@ -174,6 +176,17 @@ def _mixing_matrices(width: int, p_rep: float,
     for a in (g_rep, g_last, h):
         a.setflags(write=False)
     return g_rep, g_last, h
+
+
+@lru_cache(maxsize=256)
+def _band_sums(width: int, p_rep: float, q_last: float, k: int) -> np.ndarray:
+    """bands[s - 1, c] = sum_{d >= width - s} h[c, d] for s = 1..k, read-only:
+    the u-term's band s over the state's padding, where v = 1.  At nu = 0 the
+    width is 1 whatever k is, so k is part of the key."""
+    h = _mixing_matrices(width, p_rep, q_last)[2]
+    bands = np.array([h[:, max(width - s, 0):].sum(axis=1) for s in range(1, k + 1)])
+    bands.setflags(write=False)
+    return bands
 
 
 def _binomial_rows(width: int, q: float) -> np.ndarray:
@@ -208,22 +221,23 @@ class _RecursionOperator:
     _BATCH_ELEMENTS = 2 ** 20
 
     def __init__(self, config: ScenarioConfig, truncation_k: int | None = None):
-        self.p = transmit_probability(config)
+        p = self.p = transmit_probability(config)
         self.nu = config.repetitions_nu
-        k = truncation_k if truncation_k is not None else truncation_depth(config)
+        k = truncation_k if truncation_k is not None else geometric_depth(p, config.plr_target)
         self.capped = k > MAX_TRUNCATION_DEPTH
         self.k = min(k, MAX_TRUNCATION_DEPTH)
         # without repetitions no interferer is ever mid-repetition: c = 0 only
         width = self.width = (self.nu + 1) * self.k + 1 if self.nu else 1
         self.chunk = max(1, self._BATCH_ELEMENTS // width ** 2)
-        self.g_rep, self.g_last, h = _mixing_matrices(
-            width, repetition_probability(config), 1.0 / (self.nu + 1.0))
+        key = width, repetition_probability(config), 1.0 / (self.nu + 1.0)
+        self.g_rep, self.g_last, h = _mixing_matrices(*key)
         # u_c = (1 - p_s) * sum_d h[c, d] * sum_{s=1..K} p^(s-1) * v[d + s] with v = 1
         # past the last column, as (1 - p_s) * (v @ u_from_v + u_const), band by band
         self.u_from_v, self.u_const = np.zeros((width, width)), np.zeros(width)
-        for s, weight in enumerate(self.p ** np.arange(self.k), start=1):
+        for s, (weight, band) in enumerate(zip(p ** np.arange(self.k),
+                                               _band_sums(*key, self.k)), start=1):
             self.u_from_v[s:] += weight * h.T[:-s]
-            self.u_const += weight * h[:, max(width - s, 0):].sum(axis=1)
+            self.u_const += weight * band
 
     def hy(self, p_nc: np.ndarray) -> np.ndarray:
         """hy[n] with y_c = p_s * sum_d hy[n, c, d] * v[d]; lambda enters only by the width."""
@@ -246,17 +260,25 @@ class _RecursionOperator:
         # u, y and the new state are products and sums of non-negative terms,
         # so clamping into [0, 1] only needs the upper bound; peak is the
         # largest of them before that clamp, element by element.  hy @ v is
-        # finite, so y is 0.0 where p_s is
-        peak = np.zeros_like(rows[0])
+        # finite, so y is 0.0 where p_s is.  Each level computes
+        # v' = p v + (1 - p) (min(u, 1) + min(y, 1)) in place in u, y and v'
+        peak, u, y = np.zeros_like(rows[0]), np.empty_like(rows[0]), np.empty_like(rows[0])
         for _ in range(self.nu + 1):
             v = rows[-1]
-            u = q_s * (v @ self.u_from_v + self.u_const)
-            y = p_s * np.matmul(hy, v[:, :, None])[:, :, 0]
+            np.matmul(v, self.u_from_v, out=u)
+            u += self.u_const
+            u *= q_s
+            np.matmul(hy, v[:, :, None], out=y[:, :, None])
+            y *= p_s
             np.maximum(peak, u, out=peak)
             np.maximum(peak, y, out=peak)
-            v = self.p * v + (1.0 - self.p) * (np.minimum(u, 1.0) + np.minimum(y, 1.0))
+            np.minimum(u, 1.0, out=u)
+            u += np.minimum(y, 1.0, out=y)
+            u *= 1.0 - self.p
+            v = self.p * v
+            v += u
             np.maximum(peak, v, out=peak)
-            rows.append(np.minimum(v, 1.0))
+            rows.append(np.minimum(v, 1.0, out=v))
         return rows, self.capped | (peak.max(axis=1) > 1.0 + _CLAMP_TOL)
 
     def plr_r(self, p_s: np.ndarray, p_nc: np.ndarray,
@@ -279,11 +301,11 @@ def loss_recursion(r: float, config: ScenarioConfig, *,
     collision probabilities (degenerate-regime checks); by default they are
     computed from the config at distance r.
     """
+    op = _RecursionOperator(config, truncation_k)
     if p_s is None or p_nc is None:
         doomed, radius_sum, link_nc = _link_terms(r, config)
-        p_s = _success_from_terms(doomed, radius_sum, config) if p_s is None else p_s
+        p_s = _success_from_terms(doomed, radius_sum, config.phi, op.p) if p_s is None else p_s
         p_nc = link_nc if p_nc is None else p_nc
-    op = _RecursionOperator(config, truncation_k)
     rows, clamped = op.levels(np.array([p_s], dtype=float), np.array([p_nc], dtype=float))
     table = np.stack(rows)[:, 0, :]
     return RecursionTable(plr_r=float(table[-1, 0]), p_s=p_s, p_nc=p_nc,
@@ -367,9 +389,8 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
         raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")
     shared = _SHARED_NODES.get() or {}
     nodes = shared.get(_load_free_key(config)) or _PlrNodes(config)
-    cfg = config.with_lambda(lambda_rate)
-    p_s = _success_from_terms(nodes.doomed, nodes.radius_sum, cfg)
-    op = _RecursionOperator(cfg, truncation_k)
+    op = _RecursionOperator(config.with_lambda(lambda_rate), truncation_k)
+    p_s = _success_from_terms(nodes.doomed, nodes.radius_sum, config.phi, op.p)
     if (op.width, op.nu) != nodes.hy_key:  # hy is kept only if it fits the chunk bound
         nodes.hy_key = op.width, op.nu
         nodes.hy = op.hy(nodes.p_nc) if op.chunk >= len(p_s) else None

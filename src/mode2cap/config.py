@@ -12,7 +12,7 @@ import atexit
 import concurrent.futures
 import math
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping, Sequence
 
 
@@ -85,7 +85,10 @@ class ScenarioConfig:
         return int(math.floor(self.delay_budget / self.slot_tau + 1e-9))
 
     def with_lambda(self, lambda_rate: float) -> "ScenarioConfig":
-        return replace(self, lambda_rate=lambda_rate)
+        """This config at another load: a copy of its fields, unchecked."""
+        loaded = object.__new__(type(self))
+        loaded.__dict__.update(self.__dict__, lambda_rate=lambda_rate)
+        return loaded
 
 
 def transmit_probability(config: ScenarioConfig) -> float:
@@ -120,8 +123,12 @@ def truncation_depth(config: ScenarioConfig) -> int:
 
     ceil(log_p target); the tail beyond it is below the QoS resolution.
     """
-    p = transmit_probability(config)
-    return max(1, math.ceil(math.log(config.plr_target) / math.log(p)))
+    return geometric_depth(transmit_probability(config), config.plr_target)
+
+
+def geometric_depth(p: float, plr_target: float) -> int:
+    """truncation_depth at transmit probability p."""
+    return max(1, math.ceil(math.log(plr_target) / math.log(p)))
 
 
 _UNIT_FIELDS = {"tx_power_s": ("watts", "dbm", dbm_to_watts),

@@ -221,8 +221,9 @@ def plr_composite(lambda_rate: float, config: ScenarioConfig, panels: int = 8,
     half = 0.5 * cfg.range_r / panels
     r = ((2.0 * np.arange(panels) + 1.0)[:, None] * half + half * x).ravel()
     doomed, radius_sum, p_nc = _link_terms(r, cfg)
-    values = [loss_recursion(ri, cfg, p_s=a, p_nc=b).plr_r for ri, a, b in zip(
-        r.tolist(), _success_from_terms(doomed, radius_sum, cfg).tolist(), p_nc.tolist())]
+    p_s = _success_from_terms(doomed, radius_sum, cfg.phi, transmit_probability(cfg))
+    values = [loss_recursion(ri, cfg, p_s=a, p_nc=b).plr_r
+              for ri, a, b in zip(r.tolist(), p_s.tolist(), p_nc.tolist())]
     return float(np.dot(np.tile(w, panels), values)) * half / cfg.range_r
 
 

@@ -25,6 +25,7 @@ from mode2cap import (
     plr,
     reception_breakpoints,
     repetition_noncollision_prob,
+    repetition_probability,
     success_prob,
     transmit_probability,
     truncation_depth,
@@ -36,9 +37,11 @@ from mode2cap.analytic import (
     LAMBDA_START,
     MAX_TRUNCATION_DEPTH,
     REL_TOL,
+    _band_sums,
     _binomial_rows,
     _diagonal_index,
     _load_free_key,
+    _mixing_matrices,
     _noncollision_from_profile,
     _PlrNodes,
     _RecursionOperator,
@@ -344,12 +347,84 @@ class TestBatchedRecursion:
         assert plr(10.0, scenario, truncation_k=k) == chunked
 
 
+class TestRecursionCache:
+    GRID = {"num_subchannels_b": [3, 5, 8, 12], "repetitions_nu": list(range(9)),
+            "plr_target": [1e-2, 1e-5]}
+
+    def test_sweep_builds_each_mixing_key_once(self, scenario, monkeypatch):
+        # every key the sweep asks for is built once, and a second sweep, as
+        # in a warm pool worker's next round, builds none
+        _mixing_matrices.cache_clear()
+        _band_sums.cache_clear()
+        keys, builds = [], []
+
+        def requested(*key):
+            keys.append(key)
+            return _mixing_matrices(*key)
+
+        def built(width, q):
+            builds.append((width, q))
+            return _binomial_rows(width, q)
+
+        monkeypatch.setattr("mode2cap.analytic._mixing_matrices", requested)
+        monkeypatch.setattr("mode2cap.analytic._binomial_rows", built)
+        first = capacity_sweep(scenario, self.GRID)
+        info = _mixing_matrices.cache_info()
+        assert info.misses == len(set(keys)) == info.currsize < info.maxsize
+        assert len(builds) == 2 * len(set(keys))
+        assert len(set(keys)) < len(keys) // 10
+        assert capacity_sweep(scenario, self.GRID) == first
+        assert len(builds) == 2 * len(set(keys))
+
+    def test_cached_arrays_are_read_only(self, scenario):
+        for nu, lam in [(0, 3.0), (2, 3.0), (5, 30.0)]:
+            cfg = replace(scenario, repetitions_nu=nu, lambda_rate=lam)
+            op = _RecursionOperator(cfg)
+            key = op.width, repetition_probability(cfg), 1.0 / (nu + 1.0)
+            arrays = [*_mixing_matrices(*key), _band_sums(*key, op.k)]
+            assert arrays[0] is op.g_rep and arrays[1] is op.g_last
+            assert arrays[3].shape == (op.k, op.width)
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.5
+
+    def test_rows_after_warm_cache_equal_fresh_interpreter(self, scenario, tmp_path):
+        # the caches hold whatever earlier sweeps left; rows solved after
+        # them must equal the same rows solved with empty caches, bit for bit.
+        # The padding sums reach plr only at nu = 0 (width 1), the mixing
+        # matrices at every nu
+        rows = [dict(num_subchannels_b=10, repetitions_nu=nu, plr_target=target)
+                for nu, target in [(0, 1e-2), (5, 1e-5)]]
+        code = ("from mode2cap import ScenarioConfig, capacity, plr, validate_config\n"
+                f"for row in {rows!r}:\n"
+                "    cfg = validate_config(ScenarioConfig(**row))\n"
+                "    c = capacity(cfg)\n"
+                "    print(c.capacity.hex(), c.flags)\n"
+                "    for lam in (0.5, 3.0, 12.0):\n"
+                "        pt = plr(lam, cfg)\n"
+                "        print(pt.plr.hex(), pt.error_estimate.hex(), pt.validity_warning)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(mode2cap.__file__).parents[1]))
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                               capture_output=True, text=True, check=True).stdout
+        capacity_sweep(scenario, self.GRID)
+        warm = []
+        for row in rows:
+            cfg = validate_config(replace(scenario, **row))
+            c = capacity(cfg)
+            warm.append(f"{c.capacity.hex()} {c.flags}")
+            for lam in (0.5, 3.0, 12.0):
+                pt = plr(lam, cfg)
+                warm.append(f"{pt.plr.hex()} {pt.error_estimate.hex()} {pt.validity_warning}")
+        assert fresh == "\n".join(warm) + "\n"
+
+
 class TestPlr:
     def test_constant_integrand_is_identity(self, scenario, monkeypatch):
         # plr takes p_s from the nodes' load-free terms and p_nc from their
         # exclusion radii, through these two helpers
         monkeypatch.setattr("mode2cap.analytic._success_from_terms",
-                            lambda doomed, radius_sum, cfg: np.full(radius_sum.shape, 0.7))
+                            lambda doomed, radius_sum, phi, p: np.full(radius_sum.shape, 0.7))
         monkeypatch.setattr("mode2cap.analytic._noncollision_from_profile",
                             lambda weights, rho: np.full(rho.shape[:-1], 0.4))
         expect = loss_recursion(100.0, scenario, p_s=0.7, p_nc=0.4).plr_r
