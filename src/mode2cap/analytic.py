@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -219,6 +220,9 @@ class _RecursionOperator:
 
     # largest (chunk, width, width) temporary, in elements (8 MiB of float64)
     _BATCH_ELEMENTS = 2 ** 20
+    # bytes of the hy stacks that plr keeps per process: twice the largest
+    # stack that fits the chunk bound
+    _HY_CACHE_BYTES = 2 ** 24
 
     def __init__(self, config: ScenarioConfig, truncation_k: int | None = None):
         p = self.p = transmit_probability(config)
@@ -252,34 +256,46 @@ class _RecursionOperator:
         Returns rows[t][n, c], the failure probability after t attempts with c
         interferers mid-repetition, for t = 0..nu+1, and a per-node flag
         that is set when any probability had to be clamped into [0, 1].
+
+        The flag is read at level 1 alone.  Row 0 is all ones and every later
+        row is at most 1, and u, y and v' are non-decreasing in the row before
+        (non-negative coefficients, and every rounded product and sum is
+        monotone), so no later level exceeds level 1's u, y and v', element
+        by element.  When none of level 1's exceeds 1, later levels skip the
+        clamp, which would change nothing.
         """
         p_s = p_s[:, None]
         q_s = 1.0 - p_s
         hy = self.hy(p_nc) if hy is None else hy
         rows = [np.ones((p_s.shape[0], self.width))]
         # u, y and the new state are products and sums of non-negative terms,
-        # so clamping into [0, 1] only needs the upper bound; peak is the
-        # largest of them before that clamp, element by element.  hy @ v is
+        # so clamping into [0, 1] only needs the upper bound.  hy @ v is
         # finite, so y is 0.0 where p_s is.  Each level computes
         # v' = p v + (1 - p) (min(u, 1) + min(y, 1)) in place in u, y and v'
-        peak, u, y = np.zeros_like(rows[0]), np.empty_like(rows[0]), np.empty_like(rows[0])
-        for _ in range(self.nu + 1):
+        u, y, clip = np.empty_like(rows[0]), np.empty_like(rows[0]), True
+        for t in range(self.nu + 1):
             v = rows[-1]
             np.matmul(v, self.u_from_v, out=u)
             u += self.u_const
             u *= q_s
             np.matmul(hy, v[:, :, None], out=y[:, :, None])
             y *= p_s
-            np.maximum(peak, u, out=peak)
-            np.maximum(peak, y, out=peak)
-            np.minimum(u, 1.0, out=u)
-            u += np.minimum(y, 1.0, out=y)
+            if t == 0:
+                peak = np.maximum(u, y)
+            if clip:
+                np.minimum(u, 1.0, out=u)
+                np.minimum(y, 1.0, out=y)
+            u += y
             u *= 1.0 - self.p
             v = self.p * v
             v += u
-            np.maximum(peak, v, out=peak)
-            rows.append(np.minimum(v, 1.0, out=v))
-        return rows, self.capped | (peak.max(axis=1) > 1.0 + _CLAMP_TOL)
+            if t == 0:
+                peak = np.maximum(peak, v, out=peak).max(axis=1)
+                clip = peak.max() > 1.0
+            if clip:
+                np.minimum(v, 1.0, out=v)
+            rows.append(v)
+        return rows, self.capped | (peak > 1.0 + _CLAMP_TOL)
 
     def plr_r(self, p_s: np.ndarray, p_nc: np.ndarray,
               hy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +346,8 @@ _RULES = [np.polynomial.legendre.leggauss(n) for n in (24, 32)]
 class _PlrNodes:
     """plr's lambda-free arrays for one load-free config: nodes and weights,
     p_nc and success_prob's load-free part (the doomed mask and the radius
-    sum S) from one set of exclusion radii, and hy of one (width, nu).
+    sum S) from one set of exclusion radii.  They hold no hy: plr keeps the
+    nodes' hy stacks per process in _HY_CACHE.
 
     When r_T, the largest breakpoint, is below R, p_s falls to 0 there as
     exp(-k (r_T - r)^(-1/3)), a boundary layer that plain Gauss-Legendre
@@ -355,7 +372,6 @@ class _PlrNodes:
             weights.append(wts.ravel().tolist())
         self.r, self.weights = np.concatenate(r), weights
         self.doomed, self.radius_sum, self.p_nc = _link_terms(self.r, config)
-        self.hy_key, self.hy = None, None
 
 
 # what _PlrNodes depends on: every field but the load, nu and the PLR target
@@ -366,6 +382,26 @@ _load_free_key = operator.attrgetter(*(
 # the node arrays plr reuses, by load-free key: those of the running capacity
 # solve, or of every config the running sweep batch has met; unset otherwise
 _SHARED_NODES: ContextVar[dict | None] = ContextVar("_SHARED_NODES", default=None)
+
+# the nodes' hy stacks, one copy per process, by (load-free key, width, nu),
+# least recently used first; read-only, and _HY_CACHE_BYTES at most in all
+_HY_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _nodes_hy(key: tuple, op: _RecursionOperator, p_nc: np.ndarray) -> np.ndarray | None:
+    """op.hy(p_nc) from _HY_CACHE, built on a miss; None when the stack does
+    not fit the chunk bound (levels then builds it chunk by chunk)."""
+    if op.chunk < len(p_nc):
+        return None
+    hy = _HY_CACHE.pop(key, None)
+    if hy is None:
+        hy = op.hy(p_nc)
+        hy.setflags(write=False)
+        while _HY_CACHE and hy.nbytes + sum(a.nbytes for a in _HY_CACHE.values()) \
+                > op._HY_CACHE_BYTES:
+            _HY_CACHE.popitem(last=False)
+    _HY_CACHE[key] = hy
+    return hy
 
 
 def plr(lambda_rate: float, config: ScenarioConfig, *,
@@ -383,18 +419,16 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     the clamp puts a kink that no breakpoint splits, and the error estimate
     is no bound there.  Inside a capacity solve or sweep batch that has met
     a config of the same load-free key, the lambda-free node arrays are that
-    config's, with the same result bit for bit.
+    config's, and the nodes' hy stack comes from the process's _HY_CACHE,
+    each with the same result bit for bit.
     """
     if not 0.0 < lambda_rate < math.inf:
         raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")
-    shared = _SHARED_NODES.get() or {}
-    nodes = shared.get(_load_free_key(config)) or _PlrNodes(config)
+    key = _load_free_key(config)
+    nodes = (_SHARED_NODES.get() or {}).get(key) or _PlrNodes(config)
     op = _RecursionOperator(config.with_lambda(lambda_rate), truncation_k)
     p_s = _success_from_terms(nodes.doomed, nodes.radius_sum, config.phi, op.p)
-    if (op.width, op.nu) != nodes.hy_key:  # hy is kept only if it fits the chunk bound
-        nodes.hy_key = op.width, op.nu
-        nodes.hy = op.hy(nodes.p_nc) if op.chunk >= len(p_s) else None
-    values, clamped = op.plr_r(p_s, nodes.p_nc, nodes.hy)
+    values, clamped = op.plr_r(p_s, nodes.p_nc, _nodes_hy((key, op.width, op.nu), op, nodes.p_nc))
     # summed node by node, in order
     coarse_w, fine_w = nodes.weights
     values = values.tolist()

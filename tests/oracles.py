@@ -4,9 +4,10 @@ Each one reaches a quantity of the package by a different route than the
 package does: brute-force enumeration, a series before its closed form, a
 per-distance profile record, the SINR against one interferer, the
 log-domain EESM and its test of one packet, the loss recursion one distance
-at a time, PLR on a fixed composite quadrature grid, the simulator's schedule
-by full sorts, or the simulator's reception as one slot-by-slot loop over
-per-packet records.
+at a time, its batched levels with the clamp flag read from every level, PLR
+on a fixed composite quadrature grid, the simulator's schedule by full
+sorts, or the simulator's reception as one slot-by-slot loop over per-packet
+records.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ from mode2cap import (
     repetition_probability,
     transmit_probability,
 )
-from mode2cap.analytic import RecursionTable, _link_terms, _success_from_terms
+from mode2cap.analytic import (_CLAMP_TOL, RecursionTable, _link_terms, _RecursionOperator,
+                                _success_from_terms)
 from mode2cap.link import pathloss
 from mode2cap.sim import (
     LOSS_HALF_DUPLEX,
@@ -200,6 +202,35 @@ def loss_recursion_per_node(p_s: float, p_nc: float, config: ScenarioConfig,
         rows.append(v_prev)
     return np.vstack(rows), clamped
 
+
+def recursion_levels_running_peak(op: _RecursionOperator, p_s: np.ndarray, p_nc: np.ndarray,
+                                  hy: np.ndarray | None = None
+                                  ) -> tuple[list[np.ndarray], np.ndarray]:
+    """_RecursionOperator.levels with the clamp flag read from a running peak
+    over every level and column, each level clamped whatever level 1 gave:
+    the package reads the flag at level 1 alone, by monotonicity."""
+    p_s = p_s[:, None]
+    q_s = 1.0 - p_s
+    hy = op.hy(p_nc) if hy is None else hy
+    rows = [np.ones((p_s.shape[0], op.width))]
+    peak, u, y = np.zeros_like(rows[0]), np.empty_like(rows[0]), np.empty_like(rows[0])
+    for _ in range(op.nu + 1):
+        v = rows[-1]
+        np.matmul(v, op.u_from_v, out=u)
+        u += op.u_const
+        u *= q_s
+        np.matmul(hy, v[:, :, None], out=y[:, :, None])
+        y *= p_s
+        np.maximum(peak, u, out=peak)
+        np.maximum(peak, y, out=peak)
+        np.minimum(u, 1.0, out=u)
+        u += np.minimum(y, 1.0, out=y)
+        u *= 1.0 - op.p
+        v = op.p * v
+        v += u
+        np.maximum(peak, v, out=peak)
+        rows.append(np.minimum(v, 1.0, out=v))
+    return rows, op.capped | (peak.max(axis=1) > 1.0 + _CLAMP_TOL)
 
 
 def valid_c_max(table: RecursionTable, t: int) -> int:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -42,14 +43,15 @@ from mode2cap.analytic import (
     _diagonal_index,
     _load_free_key,
     _mixing_matrices,
+    _nodes_hy,
     _noncollision_from_profile,
     _PlrNodes,
     _RecursionOperator,
 )
 
 from conftest import make_scenario
-from oracles import (loss_recursion_per_node, plr_composite, success_prob_series,
-                     valid_c_max)
+from oracles import (loss_recursion_per_node, plr_composite, recursion_levels_running_peak,
+                     success_prob_series, valid_c_max)
 
 
 class TestSuccessProb:
@@ -311,6 +313,38 @@ class TestBatchedRecursion:
             np.testing.assert_allclose(rows[:, n, :], want, rtol=1e-13, atol=0.0)
             assert clamped[n] == want_clamped
 
+    @pytest.mark.parametrize("nu, lam, truncation_k", [
+        (0, 3.0, None), (1, 3.0, None), (2, 3.0, None), (5, 3.0, None),
+        # overloads: some or all of the reference scenario's nodes clamp
+        (2, 80.0, None), (3, 60.0, None), (5, 40.0, None), (8, 40.0, None),
+        (2, 3.0, 1), (5, 12.0, 7), (8, 3.0, 2), (2, 10.0, 45),
+    ])
+    def test_flag_from_level_one_equals_running_peak(self, nu, lam, truncation_k):
+        # levels reads the clamp flag at level 1 and skips later clamps when
+        # level 1 needs none; the oracle takes the peak over every level and
+        # clamps every level.  Nodes: the reference scenario's at this load,
+        # and a grid of forced p_s (0 overloads every level) and p_nc
+        cfg = make_scenario(repetitions_nu=nu, lambda_rate=lam, plr_target=1e-5)
+        op = _RecursionOperator(cfg, truncation_k)
+        nodes = _PlrNodes(cfg)
+        p_s = success_prob(nodes.r, cfg)
+        forced_s, forced_nc = np.array(list(product(
+            [0.0, 5e-324, 1e-300, 1e-3, 0.5, 0.999, 1.0], [0.0, 0.3, 1.0]))).T
+        flags = []
+        for a, b in [(p_s, nodes.p_nc), (forced_s, forced_nc), (p_s[:1], nodes.p_nc[:1])]:
+            want_rows, want = recursion_levels_running_peak(op, a, b)
+            for hy in (None, op.hy(b)):
+                rows, clamped = op.levels(a, b, hy)
+                assert len(rows) == len(want_rows) == nu + 2
+                for got_row, want_row in zip(rows, want_rows):
+                    assert np.array_equal(got_row, want_row)
+                assert np.array_equal(clamped, want)
+            flags.append(want)
+        # at K = 1 the u-term is a mixing of v alone, so p_s = 0 cannot clamp
+        assert not flags[1].all() and flags[1].any() == (op.k > 1)
+        if lam >= 40.0:
+            assert flags[0].any()
+
     @pytest.mark.parametrize("shape", [(3, 2, 7, 7), (4, 1, 1)], ids=["batched", "width1"])
     def test_diagonal_index_is_exact(self, shape):
         a = np.random.default_rng(5).random(shape)
@@ -389,11 +423,60 @@ class TestRecursionCache:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.5
 
+    def test_sweep_builds_each_hy_key_once(self, scenario, monkeypatch):
+        # plr keeps the nodes' hy stacks per process: a sweep builds each
+        # (load-free key, width, nu) it meets once, and a second sweep none
+        cache = OrderedDict()
+        monkeypatch.setattr("mode2cap.analytic._HY_CACHE", cache)
+        keys, builds, nodes_hy, hy = [], [], _nodes_hy, _RecursionOperator.hy
+
+        def requested(key, op, p_nc):
+            keys.append(key)
+            return nodes_hy(key, op, p_nc)
+
+        def built(op, p_nc):
+            builds.append((op.width, op.nu))
+            return hy(op, p_nc)
+
+        monkeypatch.setattr("mode2cap.analytic._nodes_hy", requested)
+        monkeypatch.setattr(_RecursionOperator, "hy", built)
+        first = capacity_sweep(scenario, self.GRID)
+        assert len(builds) == len(set(keys)) == len(cache) < len(keys) // 3
+        assert sum(a.nbytes for a in cache.values()) <= _RecursionOperator._HY_CACHE_BYTES
+        assert capacity_sweep(scenario, self.GRID) == first
+        assert len(builds) == len(cache)
+        for a in cache.values():
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0] = 0.5
+
+    def test_hy_cache_evicts_oldest_past_byte_cap(self, scenario, monkeypatch):
+        # one plr per nu meets one new hy key each; with room for the last
+        # three stacks only, the first ones go, oldest first
+        cache = OrderedDict()
+        monkeypatch.setattr("mode2cap.analytic._HY_CACHE", cache)
+        configs = [replace(scenario, repetitions_nu=nu) for nu in range(1, 9)]
+        points = [plr(3.0, cfg) for cfg in configs]
+        sizes = [a.nbytes for a in cache.values()]
+        keys = list(cache)
+        assert len(keys) == len(configs)
+        cache.clear()
+        cap = sum(sizes[-3:]) + sizes[-4] // 2
+        monkeypatch.setattr(_RecursionOperator, "_HY_CACHE_BYTES", cap)
+        for cfg, point in zip(configs, points):
+            assert plr(3.0, cfg) == point
+            assert sum(a.nbytes for a in cache.values()) <= cap
+        assert list(cache) == keys[-3:]
+        # a hit makes its key the newest
+        assert plr(3.0, configs[-3]) == points[-3]
+        assert list(cache) == [*keys[-2:], keys[-3]]
+
     def test_rows_after_warm_cache_equal_fresh_interpreter(self, scenario, tmp_path):
         # the caches hold whatever earlier sweeps left; rows solved after
         # them must equal the same rows solved with empty caches, bit for bit.
         # The padding sums reach plr only at nu = 0 (width 1), the mixing
-        # matrices at every nu
+        # matrices at every nu; the hy stacks of the rows' nodes are first
+        # built for other widths and nu, and for other load-free configs
         rows = [dict(num_subchannels_b=10, repetitions_nu=nu, plr_target=target)
                 for nu, target in [(0, 1e-2), (5, 1e-5)]]
         code = ("from mode2cap import ScenarioConfig, capacity, plr, validate_config\n"
@@ -408,6 +491,11 @@ class TestRecursionCache:
         fresh = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                                capture_output=True, text=True, check=True).stdout
         capacity_sweep(scenario, self.GRID)
+        capacity_sweep(scenario, {"num_subchannels_b": [10], "repetitions_nu": [1, 4, 6, 8],
+                                  "plr_target": [1e-2, 1e-5]})
+        assert {key[0] for key in mode2cap.analytic._HY_CACHE} >= {_load_free_key(scenario), *(
+            _load_free_key(replace(scenario, num_subchannels_b=b))
+            for b in self.GRID["num_subchannels_b"])}
         warm = []
         for row in rows:
             cfg = validate_config(replace(scenario, **row))
@@ -422,7 +510,9 @@ class TestRecursionCache:
 class TestPlr:
     def test_constant_integrand_is_identity(self, scenario, monkeypatch):
         # plr takes p_s from the nodes' load-free terms and p_nc from their
-        # exclusion radii, through these two helpers
+        # exclusion radii, through these two helpers; the hy stack built from
+        # the stand-in p_nc goes to a cache of its own
+        monkeypatch.setattr("mode2cap.analytic._HY_CACHE", OrderedDict())
         monkeypatch.setattr("mode2cap.analytic._success_from_terms",
                             lambda doomed, radius_sum, phi, p: np.full(radius_sum.shape, 0.7))
         monkeypatch.setattr("mode2cap.analytic._noncollision_from_profile",

@@ -1,9 +1,9 @@
 """Outputs against tests/golden.json, the reference that make_golden.py writes.
 
 Floats may differ by a few ulp across numpy and BLAS builds; flags, the
-argmax nu and the simulator's integer tallies compare exactly.  An error
-estimate is a difference of two sums of the PLR's size, so its tolerance is
-a few ulp of the PLR.
+argmax nu and the simulator's integer tallies compare exactly, as do a loss
+table's K, clamp flag and float32 digest.  An error estimate is a difference
+of two sums of the PLR's size, so its tolerance is a few ulp of the PLR.
 """
 import json
 import math
@@ -28,11 +28,18 @@ def outputs():
 
 def test_plr_matches_golden(outputs):
     got, want = (o["plr"] for o in outputs)
-    assert [row[:3] for row in got] == [row[:3] for row in want]
-    assert [row[5] for row in got] == [row[5] for row in want]
+    assert [row[:4] for row in got] == [row[:4] for row in want]
+    assert [row[6] for row in got] == [row[6] for row in want]
     for (*key, value, err, _), (*_, value0, err0, _) in zip(got, want):
         assert _close(value, value0), (key, value, value0)
         assert _close(err, err0, value0), (key, err, err0)
+
+
+def test_loss_tables_match_golden(outputs):
+    got, want = (o["loss_recursion"] for o in outputs)
+    assert [row[:7] + row[8:] for row in got] == [row[:7] + row[8:] for row in want]
+    for (*key, plr_r, _), (*_, plr_r0, _) in zip(got, want):
+        assert _close(plr_r, plr_r0), (key, plr_r, plr_r0)
 
 
 def test_capacity_matches_golden(outputs):
