@@ -17,20 +17,30 @@ The file holds:
     level) or the truncation depth given;
   * capacity: the capacity and flags of the benchmark's optimal-nu sweep
     (nu 0..8 x PLR 1e-2, 1e-5 at B = 10, phi = 0.05), solved serially;
+  * acceptance_capacity: the other capacity sweeps of the acceptance suite
+    (criteria 6, 7a and 7b: B = 3..12 at PLR 1e-2 and B = 3, 4, 5, 6 at
+    1e-5, phi = 0.05) and the optimal-nu sweep at the jittered phi of
+    benchmark seeds 3 and 17, nu 0..8 each, solved serially;
   * sim: serial seeded reports at the two points of the benchmark's
-    sim-crosscheck workload (criterion 5's nu = 0 and nu = 2 loads).
+    sim-crosscheck workload (criterion 5's nu = 0 and nu = 2 loads);
+  * trace: the record count and the SHA-256 of the trace_to_csv text of
+    attempt_trace at the sim-crosscheck nu = 2 size, at a load where
+    half-duplex losses are frequent, and at that size with a 300 m
+    interference cutoff.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import random
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
-from mode2cap import (ScenarioConfig, SimConfig, capacity_sweep, loss_recursion, plr, run,
-                      validate_config)
+from mode2cap import (ScenarioConfig, SimConfig, attempt_trace, capacity_sweep, loss_recursion,
+                      plr, run, trace_to_csv, validate_config)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -41,6 +51,14 @@ TARGETS = (1e-2, 1e-5)
 # (nu, lambda, num_ues, num_slots, replications), as in sim-crosscheck
 SIM_POINTS = ((0, 10.0, 300, 2000, 8), (2, 30.0, 200, 1500, 8))
 SIM_SEED = 7
+# (nu, lambda, num_ues, num_slots, replications, interference_cutoff)
+TRACE_POINTS = ((2, 30.0, 200, 1500, 2, None), (1, 100.0, 120, 1500, 2, None),
+                (2, 30.0, 200, 1500, 2, 300.0))
+# (B, PLR target) of the acceptance sweeps not in the capacity section
+ACCEPTANCE_GRIDS = (*((b, 1e-2) for b in range(3, 13) if b != 10),
+                    *((b, 1e-5) for b in (3, 4, 5, 6)))
+# optimal-nu draws phi = 0.05 (1 +- 0.5 %) from random.Random(seed)
+JITTER_SEEDS = (3, 17)
 # loss_recursion at r = 150 m, PLR target 1e-5: (nu, lambda, p_s, p_nc,
 # truncation_k), None where the config decides
 TABLE_R = 150.0
@@ -52,6 +70,18 @@ TABLES = (*((nu, lam, None, None, None) for nu in (0, 2, 5, 8) for lam in (3.0, 
 def table_digest(values: np.ndarray) -> str:
     """SHA-256 of a loss table rounded to float32, first 16 hex digits."""
     return hashlib.sha256(values.astype(np.float32).tobytes()).hexdigest()[:16]
+
+
+def jittered_phi(seed: int) -> float:
+    """The phi of the benchmark's optimal-nu workload at a seed."""
+    return 0.05 * (1.0 + 0.005 * (2.0 * random.Random(seed).random() - 1.0))
+
+
+def trace_digest(records) -> list:
+    """Record count and SHA-256 of an attempt trace's CSV text."""
+    text = io.StringIO()
+    trace_to_csv(records, text)
+    return [len(records), hashlib.sha256(text.getvalue().encode()).hexdigest()]
 
 
 def golden_outputs() -> dict:
@@ -77,14 +107,28 @@ def golden_outputs() -> dict:
     sweep = capacity_sweep(base, {"repetitions_nu": list(NUS), "plr_target": list(TARGETS)})
     capacity_rows = [[o["repetitions_nu"], o["plr_target"], c.capacity, list(c.flags)]
                      for o, c in sweep]
+    acceptance_rows = []
+    grids = [(b, base.phi, (target,)) for b, target in ACCEPTANCE_GRIDS]
+    grids += [(10, jittered_phi(seed), TARGETS) for seed in JITTER_SEEDS]
+    for b, phi, targets in grids:
+        sweep = capacity_sweep(ScenarioConfig(num_subchannels_b=b, phi=phi),
+                               {"repetitions_nu": list(NUS), "plr_target": list(targets)})
+        acceptance_rows += [[b, phi, o["repetitions_nu"], o["plr_target"], c.capacity,
+                             list(c.flags)] for o, c in sweep]
     sim_rows = []
     for nu, lam, ues, slots, reps in SIM_POINTS:
         cfg = validate_config(ScenarioConfig(repetitions_nu=nu, lambda_rate=lam))
         report = run(SimConfig(cfg, num_ues=ues, num_slots=slots, seed=SIM_SEED,
                                replications=reps))
         sim_rows.append([nu, lam, *astuple(report)])
+    trace_rows = []
+    for nu, lam, ues, slots, reps, cutoff in TRACE_POINTS:
+        cfg = validate_config(ScenarioConfig(repetitions_nu=nu, lambda_rate=lam))
+        records = attempt_trace(SimConfig(cfg, num_ues=ues, num_slots=slots, seed=SIM_SEED,
+                                          replications=reps, interference_cutoff=cutoff))
+        trace_rows.append([nu, lam, ues, slots, reps, cutoff, *trace_digest(records)])
     return {"plr": plr_rows, "loss_recursion": table_rows, "capacity": capacity_rows,
-            "sim": sim_rows}
+            "acceptance_capacity": acceptance_rows, "sim": sim_rows, "trace": trace_rows}
 
 
 def _dumps(outputs: dict) -> str:

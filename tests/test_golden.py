@@ -2,7 +2,8 @@
 
 Floats may differ by a few ulp across numpy and BLAS builds; flags, the
 argmax nu and the simulator's integer tallies compare exactly, as do a loss
-table's K, clamp flag and float32 digest.  An error estimate is a difference
+table's K, clamp flag and float32 digest and an attempt trace's record
+count and SHA-256.  An error estimate is a difference
 of two sums of the PLR's size, so its tolerance is a few ulp of the PLR.
 """
 import json
@@ -56,6 +57,19 @@ def test_capacity_matches_golden(outputs):
         assert argmax(got, target) == argmax(want, target)
 
 
+def test_acceptance_capacities_match_golden(outputs):
+    got, want = (o["acceptance_capacity"] for o in outputs)
+    assert [row[:4] + row[5:] for row in got] == [row[:4] + row[5:] for row in want]
+    for (*key, value, _), (*_, value0, _) in zip(got, want):
+        assert _close(value, value0), (key, value, value0)
+
+    def argmax(rows, grid):
+        return max((c, nu) for b, phi, nu, t, c, _ in rows if (b, phi, t) == grid)[1]
+
+    for grid in {(b, phi, t) for b, phi, _, t, _, _ in want}:
+        assert argmax(got, grid) == argmax(want, grid), grid
+
+
 def test_sim_reports_match_golden(outputs):
     got, want = (o["sim"] for o in outputs)
     assert len(got) == len(want)
@@ -63,3 +77,8 @@ def test_sim_reports_match_golden(outputs):
             zip(got, want):
         assert (nu, lam, tallies) == (nu0, lam0, tallies0)
         assert _close(estimate, estimate0) and _close(ci, ci0), (nu, lam)
+
+
+def test_traces_match_golden(outputs):
+    got, want = (o["trace"] for o in outputs)
+    assert got == want
