@@ -8,10 +8,9 @@ half-duplex receivers.  Each replication draws its whole transmission
 schedule first, then receives it in one pass per attempt index, each in
 chunks of consecutive slots, leaving out the pairs already delivered; a
 trace receives every attempt in one pass.  A chunk tests half-duplex
-against its own slots' slice of the sorted transmitter keys, numbers its
-(slot, receiver) rows by a stable sort of their keys and a run-start flag,
-sums each receiver's interference per subchannel with one bincount,
-gathers every pair's M subchannels as M long rows (subchannel-major, with
+against its own slots' slice of the sorted transmitter keys, sums each free
+pair's interference from every attempt of its slot per subchannel with one
+bincount, gathers its M subchannels as M long rows (subchannel-major, with
 no length-M trailing axis), and decides reception with
 `link.eesm_received`, the EESM threshold test in the linear domain.
 Importing the module frees one untouched 8 MiB block, which keeps glibc
@@ -289,43 +288,34 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
                                          chunk_keys.size - 1)] == key
             free = ~busy
             heard[pair[free]] = True
-            # one row per (slot, receiver) of the free pairs, against every
-            # attempt of its slot: row after row, in attempt order.  The keys
-            # arrive as ascending runs, one per attempt, which a stable sort
-            # merges; a run-start flag numbers the rows in key order
-            free_key = key[free]
-            by_key = np.argsort(free_key, kind="stable")
-            sorted_key = free_key[by_key]
-            run_start = np.diff(sorted_key, prepend=-1) != 0
-            row_key, row = sorted_key[run_start], np.empty_like(by_key)
-            row[by_key] = np.cumsum(run_start) - 1
-            row_group, row_rx = np.divmod(row_key, n)
-            width = count[row_group]
-            cross_row = np.repeat(np.arange(row_key.size), width)
-            cross_att = np.arange(cross_row.size) + np.repeat(
-                first[row_group] - np.cumsum(width) + width, width)
-            dist = np.abs(pos[row_rx][cross_row] - att_pos[cross_att])
+            # each free pair against every attempt of its slot: pair after
+            # pair, in attempt order
+            kf, free_group, rx_pos = k[free], group[free], pos[rx[free]]
+            width = count[free_group]
+            cross_pair = np.repeat(np.arange(kf.size), width)
+            cross_att = np.arange(cross_pair.size) + np.repeat(
+                first[free_group] - np.cumsum(width) + width, width)
+            dist = np.abs(rx_pos[cross_pair] - att_pos[cross_att])
             # an interferer beyond the cutoff would add +0.0: leave it out
             near = np.flatnonzero(dist <= cutoff)
             # each near entry hits its M subchannels: bincount's cells and
             # weights, entry-major and written one subchannel column at a time
-            cell0 = cross_row[near] * b_total + att_sub[cross_att[near]]
+            cell0 = cross_pair[near] * b_total + att_sub[cross_att[near]]
             power = sig_power * pathloss(dist[near], sc)
             cells, weights = np.empty((near.size, m_w), np.intp), np.empty((near.size, m_w))
             for j in range(m_w):
                 np.add(cell0, j, out=cells[:, j])
                 weights[:, j] = power
-            # each (row, subchannel) cell sums its interferers in attempt order
-            # (with none at all, bincount gives integer zeros, which the float
-            # rows below take exactly)
-            total = np.bincount(cells.ravel(), weights.ravel(), minlength=row_key.size * b_total)
-            kf = k[free]
-            pair_dist = np.abs(pos[rx[free]] - att_pos[kf])
+            # each (pair, subchannel) cell sums its interferers in attempt
+            # order (with none at all, bincount gives integer zeros, which the
+            # float rows below take exactly)
+            total = np.bincount(cells.ravel(), weights.ravel(), minlength=kf.size * b_total)
+            pair_dist = np.abs(rx_pos - att_pos[kf])
             # the wanted signal ignores the interference cutoff
             gain = sig_power * pathloss(pair_dist, sc)
             # subchannel-major: row j holds every free pair's interference on
             # its attempt's j-th subchannel, less its own signal, then its SINR
-            cell = row * b_total + att_sub[kf]
+            cell = np.arange(0, kf.size * b_total, b_total) + att_sub[kf]
             sinr = np.empty((m_w, kf.size))
             for j in range(m_w):
                 sinr[j] = total[cell + j]
