@@ -18,7 +18,7 @@ import operator
 from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -429,11 +429,12 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     op = _RecursionOperator(config.with_lambda(lambda_rate), truncation_k)
     p_s = _success_from_terms(nodes.doomed, nodes.radius_sum, config.phi, op.p)
     values, clamped = op.plr_r(p_s, nodes.p_nc, _nodes_hy((key, op.width, op.nu), op, nodes.p_nc))
-    # summed node by node, in order
+    # summed node by node, left to right (sum() compensates from Python 3.12 on)
     coarse_w, fine_w = nodes.weights
     values = values.tolist()
-    coarse = sum(map(operator.mul, coarse_w, values[:len(coarse_w)])) / config.range_r
-    fine = sum(map(operator.mul, fine_w, values[len(coarse_w):])) / config.range_r
+    coarse = reduce(operator.add, map(operator.mul, coarse_w, values[:len(coarse_w)]), 0.0)
+    fine = reduce(operator.add, map(operator.mul, fine_w, values[len(coarse_w):]), 0.0)
+    coarse, fine = coarse / config.range_r, fine / config.range_r
     return PlrCurvePoint(lambda_rate, plr=float(fine), error_estimate=float(abs(fine - coarse)),
                          validity_warning=bool(clamped.any()))
 

@@ -548,6 +548,36 @@ class TestPlr:
         assert np.any(want == 0.0) == bool(kwargs)
         assert np.array_equal(nodes.p_nc, repetition_noncollision_prob(nodes.r, cfg))
 
+    @pytest.mark.parametrize("kwargs, nu, lam", [
+        ({}, 0, 0.5), ({}, 2, 3.0), (dict(range_r=300.0), 5, 3.0),
+        (dict(packet_width_m=5), 8, 0.5),
+    ], ids=["reference-nu0", "reference-nu2", "range300-nu5", "width5-nu8"])
+    def test_rules_sum_left_to_right(self, monkeypatch, kwargs, nu, lam):
+        # each rule adds weight * plr_r node by node from the left, on every
+        # interpreter: sum() compensates its additions from Python 3.12 on,
+        # which moves every one of these points by an ulp or more
+        cfg = make_scenario(repetitions_nu=nu, **kwargs)
+        seen, plr_r = [], _RecursionOperator.plr_r
+
+        def recording(op, p_s, p_nc, hy=None):
+            values, clamped = plr_r(op, p_s, p_nc, hy)
+            seen.append(values.tolist())
+            return values, clamped
+
+        monkeypatch.setattr(_RecursionOperator, "plr_r", recording)
+        point = plr(lam, cfg)
+        coarse_w, fine_w = _PlrNodes(cfg).weights
+        sums = []
+        for weights, values in ((coarse_w, seen[0][:len(coarse_w)]),
+                                (fine_w, seen[0][len(coarse_w):])):
+            total = 0.0
+            for w, v in zip(weights, values, strict=True):
+                total += w * v
+            sums.append(total / cfg.range_r)
+        coarse, fine = sums
+        assert point.plr.hex() == fine.hex()
+        assert point.error_estimate.hex() == abs(fine - coarse).hex()
+
     def test_vanishing_load_vanishing_loss(self, scenario):
         assert plr(1e-6, scenario).plr < 1e-8
 
