@@ -197,11 +197,11 @@ def _schedule(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int
 
 
 # bound on a chunk's pairs times attempts (see the chunking below).  Serial
-# replications, 2 cores, median of 7 rounds at 2**14 / 2**15 / 2**16, with the
-# allocator thresholds raised: 0.125 / 0.118 / 0.121 s at the sim-crosscheck
-# nu = 0 point, 0.317 / 0.295 / 0.294 s at its nu = 2 point, and 0.161 /
-# 0.146 / 0.139 s at nu = 5, lambda = 3, 1000 UEs x 5000 slots.  2**16 gains
-# little more and leaves small runs a single chunk per pass
+# replications, 2 cores, median of 15 rounds at 2**14 / 2**15 / 2**16: 0.077 /
+# 0.074 / 0.078 s at the sim-crosscheck nu = 0 point and 0.207 / 0.196 / 0.201 s
+# at its nu = 2 point (8 replications each), and 0.100 / 0.093 / 0.091 s at
+# nu = 5, lambda = 3, 1000 UEs x 5000 slots (2); two such runs at once read the
+# same within 0.01 s.  None wins at all three; 2**16 gives small runs one chunk a pass
 _CHUNK_ELEMENTS = 2 ** 15
 
 
