@@ -24,9 +24,10 @@ The file holds:
   * sim: serial seeded reports at the two points of the benchmark's
     sim-crosscheck workload (criterion 5's nu = 0 and nu = 2 loads);
   * trace: the record count and the SHA-256 of the trace_to_csv text of
-    attempt_trace at the sim-crosscheck nu = 2 size, at a load where
-    half-duplex losses are frequent, and at that size with a 300 m
-    interference cutoff.
+    attempt_trace at the sim-crosscheck nu = 2 size, at the
+    half_duplex_heavy load of test_sim (nu = 1, lambda = 100, 120 UEs x
+    1500 slots), and at the nu = 2 size with a 300 m interference cutoff,
+    two replications each.
 """
 from __future__ import annotations
 

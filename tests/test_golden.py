@@ -2,9 +2,9 @@
 
 Floats may differ by a few ulp across numpy and BLAS builds; flags, the
 argmax nu and the simulator's integer tallies compare exactly, as do a loss
-table's K, clamp flag and float32 digest and an attempt trace's record
-count and SHA-256.  An error estimate is a difference
-of two sums of the PLR's size, so its tolerance is a few ulp of the PLR.
+table's K, clamp flag and float32 digest and an attempt trace's record count
+and SHA-256.  An error estimate is a difference of two sums of the PLR's
+size, so its tolerance is a few ulp of the PLR.
 """
 import json
 import math
