@@ -8,11 +8,13 @@ half-duplex receivers.  Each replication draws its whole transmission
 schedule first, then receives it in one pass per attempt index, each in
 chunks of consecutive slots, leaving out the pairs already delivered; a
 trace receives every attempt in one pass.  A chunk tests half-duplex
-against its own slots' slice of the sorted transmitter keys, sums each free
-pair's interference from every attempt of its slot per subchannel with one
-bincount, gathers its M subchannels as M long rows (subchannel-major, with
-no length-M trailing axis), and decides reception with
-`link.eesm_received`, the EESM threshold test in the linear domain.
+against its own slots' slice of the sorted transmitter keys, meets each free
+pair with every attempt of its slot, keeps the attempts within the cutoff
+whose M subchannels overlap the pair's, and sums each of the pair's M
+subchannels from the kept attempts that cover it, one bincount per
+subchannel into M long rows (subchannel-major, with no length-M trailing
+axis).  It decides reception with `link.eesm_received`, the EESM threshold
+test in the linear domain.
 Importing the module frees one untouched 8 MiB block, which keeps glibc
 from mapping and faulting in every chunk temporary afresh (see below).
 Serves as the independent oracle for the analytic chain at loss levels
@@ -212,7 +214,7 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     rng = replication_rng(sim_config.seed, replication)
     pos = build_topology(sim_config, rng)
     n, horizon, nu, m_w = pos.size, sim_config.num_slots, sc.repetitions_nu, sc.packet_width_m
-    b_total, sig_power = sc.num_subchannels_b, sc.tx_power_s / m_w
+    sig_power = sc.tx_power_s / m_w
     cutoff = sim_config.resolved_cutoff()
     margin = 2.0 * sc.range_r
 
@@ -295,30 +297,24 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
             cross_pair = np.repeat(np.arange(kf.size), width)
             cross_att = np.arange(cross_pair.size) + np.repeat(
                 first[free_group] - np.cumsum(width) + width, width)
-            dist = np.abs(rx_pos[cross_pair] - att_pos[cross_att])
-            # an interferer beyond the cutoff would add +0.0: leave it out
-            near = np.flatnonzero(dist <= cutoff)
-            # each near entry hits its M subchannels: bincount's cells and
-            # weights, entry-major and written one subchannel column at a time
-            cell0 = cross_pair[near] * b_total + att_sub[cross_att[near]]
+            dist = np.abs(np.repeat(rx_pos, width) - att_pos[cross_att])
+            # an interferer beyond the cutoff, or whose M subchannels miss the
+            # pair's (its start off by M or more), would add +0.0: leave it out
+            off = att_sub[cross_att] - np.repeat(att_sub[kf], width)
+            near = np.flatnonzero((dist <= cutoff) & (np.abs(off) < m_w))
+            near_pair, off = cross_pair[near], off[near]
             power = sig_power * pathloss(dist[near], sc)
-            cells, weights = np.empty((near.size, m_w), np.intp), np.empty((near.size, m_w))
-            for j in range(m_w):
-                np.add(cell0, j, out=cells[:, j])
-                weights[:, j] = power
-            # each (pair, subchannel) cell sums its interferers in attempt
-            # order (with none at all, bincount gives integer zeros, which the
-            # float rows below take exactly)
-            total = np.bincount(cells.ravel(), weights.ravel(), minlength=kf.size * b_total)
             pair_dist = np.abs(rx_pos - att_pos[kf])
             # the wanted signal ignores the interference cutoff
             gain = sig_power * pathloss(pair_dist, sc)
-            # subchannel-major: row j holds every free pair's interference on
-            # its attempt's j-th subchannel, less its own signal, then its SINR
-            cell = np.arange(0, kf.size * b_total, b_total) + att_sub[kf]
+            # subchannel-major: row j sums, in attempt order, every free pair's
+            # interferers on its attempt's j-th subchannel, those off by
+            # j - M + 1 to j (the others weigh +0.0, which leaves a sum of
+            # powers as it is), less its own signal, then holds its SINR
             sinr = np.empty((m_w, kf.size))
             for j in range(m_w):
-                sinr[j] = total[cell + j]
+                on = (j - m_w < off) & (off <= j)
+                sinr[j] = np.bincount(near_pair, np.where(on, power, 0.0), minlength=kf.size)
             sinr -= np.where(pair_dist <= cutoff, gain, 0.0)
             sinr += sc.noise_sigma
             np.divide(gain, sinr, out=sinr)

@@ -303,8 +303,12 @@ class TestAgainstReference:
         (dict(repetitions_nu=2, lambda_rate=30.0), dict(interference_cutoff=300.0)),
         (dict(repetitions_nu=1, lambda_rate=100.0), {}),
         (dict(repetitions_nu=2, lambda_rate=20.0, num_subchannels_b=3), {}),
+        # the overlap extremes: most interferers share no subchannel with the
+        # pair, and only interferers at the pair's own start share any
+        (dict(repetitions_nu=2, lambda_rate=30.0, num_subchannels_b=20), {}),
+        (dict(repetitions_nu=2, lambda_rate=30.0, packet_width_m=1), {}),
     ], ids=["nu0", "nu1", "nu2", "nu8", "cutoff0", "cutoff300", "half_duplex_heavy",
-            "b_equals_m"])
+            "b_equals_m", "wide_band", "m_equals_1"])
     def test_matches_event_loop(self, scenario_kw, sim_kw):
         # the chunked simulator against the slot-by-slot event loop: equal
         # tallies and equal records, in the same order; and equal tallies
