@@ -18,9 +18,9 @@ import operator
 from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -156,38 +156,51 @@ def _noncollision_from_profile(weights: np.ndarray,
 
 
 # The loss recursion's load-free arrays live here, one copy per process,
-# filled on first use and shared by every load, solve and sweep row after it.
-# A solve's loads meet one to three truncation depths, and a sweep over
-# B = 3..20, nu = 0..8 and PLR {1e-2, 1e-5} meets 28 mixing keys in all, so
-# 256 entries hold several such sweeps.  Their arrays are read-only.
-@lru_cache(maxsize=256)
-def _mixing_matrices(width: int, p_rep: float,
-                     q_last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Binomial mixing matrices of the loss recursion, read-only.
+# filled on first use and shared by every load, solve and sweep row after it:
+# the mixing matrices with their padding sums, keyed by (width, p_rep,
+# q_last, k), and the quadrature nodes' hy stacks, keyed by (load-free key,
+# width, nu).  Entries are read-only and evicted least recently used first;
+# they hold _CACHE_BYTES at most in all, and an entry larger than that is
+# built but not kept.
+_CACHE_BYTES = 2 ** 24
+_CACHE: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
+
+
+def _cached(key: tuple, build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The arrays under key in _CACHE, from build() on a miss, read-only."""
+    arrays = _CACHE.pop(key, None)
+    if arrays is None:
+        arrays = build()
+        for a in arrays:
+            a.setflags(write=False)
+        size = sum(a.nbytes for a in arrays)
+        if size > _CACHE_BYTES:
+            return arrays
+        while size + sum(a.nbytes for entry in _CACHE.values() for a in entry) > _CACHE_BYTES:
+            _CACHE.popitem(last=False)
+    _CACHE[key] = arrays
+    return arrays
+
+
+def _mixing_arrays(width: int, p_rep: float, q_last: float,
+                   k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Binomial mixing matrices of the loss recursion and the u-term's
+    padding sums.
 
     g_rep[c, i] = P(i of c mid-repetition interferers transmit in a slot) and
     g_last[i, j] = P(j of those i transmit their last repetition).  h is the
     two mixings composed and re-indexed, h[c, d] = (g_rep @ g_last)[c, c - d]
     for d <= c and 0 above the diagonal, so that
     sum_j (g_rep @ g_last)[c, j] * x[c - j] = sum_d h[c, d] * x[d].
+    bands[s - 1, c] = sum_{d >= width - s} h[c, d] for s = 1..k is the
+    u-term's band s over the state's padding, where v = 1; at nu = 0 the
+    width is 1 whatever k is.
     """
     g_rep = _binomial_rows(width, p_rep)
     g_last = _binomial_rows(width, q_last)
     h = _diagonal_index(g_rep @ g_last)
-    for a in (g_rep, g_last, h):
-        a.setflags(write=False)
-    return g_rep, g_last, h
-
-
-@lru_cache(maxsize=256)
-def _band_sums(width: int, p_rep: float, q_last: float, k: int) -> np.ndarray:
-    """bands[s - 1, c] = sum_{d >= width - s} h[c, d] for s = 1..k, read-only:
-    the u-term's band s over the state's padding, where v = 1.  At nu = 0 the
-    width is 1 whatever k is, so k is part of the key."""
-    h = _mixing_matrices(width, p_rep, q_last)[2]
     bands = np.array([h[:, max(width - s, 0):].sum(axis=1) for s in range(1, k + 1)])
-    bands.setflags(write=False)
-    return bands
+    return g_rep, g_last, h, bands
 
 
 def _binomial_rows(width: int, q: float) -> np.ndarray:
@@ -220,9 +233,6 @@ class _RecursionOperator:
 
     # largest (chunk, width, width) temporary, in elements (8 MiB of float64)
     _BATCH_ELEMENTS = 2 ** 20
-    # bytes of the hy stacks that plr keeps per process: twice the largest
-    # stack that fits the chunk bound
-    _HY_CACHE_BYTES = 2 ** 24
 
     def __init__(self, config: ScenarioConfig, truncation_k: int | None = None):
         p = self.p = transmit_probability(config)
@@ -233,13 +243,12 @@ class _RecursionOperator:
         # without repetitions no interferer is ever mid-repetition: c = 0 only
         width = self.width = (self.nu + 1) * self.k + 1 if self.nu else 1
         self.chunk = max(1, self._BATCH_ELEMENTS // width ** 2)
-        key = width, repetition_probability(config), 1.0 / (self.nu + 1.0)
-        self.g_rep, self.g_last, h = _mixing_matrices(*key)
+        key = width, repetition_probability(config), 1.0 / (self.nu + 1.0), self.k
+        self.g_rep, self.g_last, h, bands = _cached(key, lambda: _mixing_arrays(*key))
         # u_c = (1 - p_s) * sum_d h[c, d] * sum_{s=1..K} p^(s-1) * v[d + s] with v = 1
         # past the last column, as (1 - p_s) * (v @ u_from_v + u_const), band by band
         self.u_from_v, self.u_const = np.zeros((width, width)), np.zeros(width)
-        for s, (weight, band) in enumerate(zip(p ** np.arange(self.k),
-                                               _band_sums(*key, self.k)), start=1):
+        for s, (weight, band) in enumerate(zip(p ** np.arange(self.k), bands), start=1):
             self.u_from_v[s:] += weight * h.T[:-s]
             self.u_const += weight * band
 
@@ -347,7 +356,7 @@ class _PlrNodes:
     """plr's lambda-free arrays for one load-free config: nodes and weights,
     p_nc and success_prob's load-free part (the doomed mask and the radius
     sum S) from one set of exclusion radii.  They hold no hy: plr keeps the
-    nodes' hy stacks per process in _HY_CACHE.
+    nodes' hy stacks per process in _CACHE.
 
     When r_T, the largest breakpoint, is below R, p_s falls to 0 there as
     exp(-k (r_T - r)^(-1/3)), a boundary layer that plain Gauss-Legendre
@@ -383,26 +392,6 @@ _load_free_key = operator.attrgetter(*(
 # solve, or of every config the running sweep batch has met; unset otherwise
 _SHARED_NODES: ContextVar[dict | None] = ContextVar("_SHARED_NODES", default=None)
 
-# the nodes' hy stacks, one copy per process, by (load-free key, width, nu),
-# least recently used first; read-only, and _HY_CACHE_BYTES at most in all
-_HY_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-
-def _nodes_hy(key: tuple, op: _RecursionOperator, p_nc: np.ndarray) -> np.ndarray | None:
-    """op.hy(p_nc) from _HY_CACHE, built on a miss; None when the stack does
-    not fit the chunk bound (levels then builds it chunk by chunk)."""
-    if op.chunk < len(p_nc):
-        return None
-    hy = _HY_CACHE.pop(key, None)
-    if hy is None:
-        hy = op.hy(p_nc)
-        hy.setflags(write=False)
-        while _HY_CACHE and hy.nbytes + sum(a.nbytes for a in _HY_CACHE.values()) \
-                > op._HY_CACHE_BYTES:
-            _HY_CACHE.popitem(last=False)
-    _HY_CACHE[key] = hy
-    return hy
-
 
 def plr(lambda_rate: float, config: ScenarioConfig, *,
         truncation_k: int | None = None) -> PlrCurvePoint:
@@ -419,8 +408,9 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     the clamp puts a kink that no breakpoint splits, and the error estimate
     is no bound there.  Inside a capacity solve or sweep batch that has met
     a config of the same load-free key, the lambda-free node arrays are that
-    config's, and the nodes' hy stack comes from the process's _HY_CACHE,
-    each with the same result bit for bit.
+    config's; elsewhere each call builds its own.  The mixing matrices,
+    padding sums and the nodes' hy stack come from the process's _CACHE
+    while they fit its byte budget, each with the same result bit for bit.
     """
     if not 0.0 < lambda_rate < math.inf:
         raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")
@@ -428,7 +418,10 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     nodes = (_SHARED_NODES.get() or {}).get(key) or _PlrNodes(config)
     op = _RecursionOperator(config.with_lambda(lambda_rate), truncation_k)
     p_s = _success_from_terms(nodes.doomed, nodes.radius_sum, config.phi, op.p)
-    values, clamped = op.plr_r(p_s, nodes.p_nc, _nodes_hy((key, op.width, op.nu), op, nodes.p_nc))
+    # a stack over the chunk bound is built chunk by chunk in levels instead
+    hy = None if op.chunk < len(p_s) else \
+        _cached((key, op.width, op.nu), lambda: (op.hy(nodes.p_nc),))[0]
+    values, clamped = op.plr_r(p_s, nodes.p_nc, hy)
     # summed node by node, left to right (sum() compensates from Python 3.12 on)
     coarse_w, fine_w = nodes.weights
     values = values.tolist()

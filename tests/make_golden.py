@@ -27,12 +27,13 @@ The file holds:
     attempt_trace at the sim-crosscheck nu = 2 size, at the
     half_duplex_heavy load of test_sim (nu = 1, lambda = 100, 120 UEs x
     1500 slots), and at the nu = 2 size with a 300 m interference cutoff,
-    two replications each.
+    two replications each; the text is hashed row by row as the trace's
+    recorder delivers it, not held as a list of records.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
-import io
 import json
 import random
 from dataclasses import astuple
@@ -40,8 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-from mode2cap import (ScenarioConfig, SimConfig, attempt_trace, capacity_sweep, loss_recursion,
-                      plr, run, trace_to_csv, validate_config)
+from mode2cap import (ScenarioConfig, SimConfig, capacity_sweep, loss_recursion, plr, run,
+                      trace_to_csv, validate_config)
+from mode2cap.sim import (TRACE_COLUMNS, AttemptRecord, _simulate_replication,
+                          validate_sim_config)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -78,11 +81,32 @@ def jittered_phi(seed: int) -> float:
     return 0.05 * (1.0 + 0.005 * (2.0 * random.Random(seed).random() - 1.0))
 
 
-def trace_digest(records) -> list:
-    """Record count and SHA-256 of an attempt trace's CSV text."""
-    text = io.StringIO()
-    trace_to_csv(records, text)
-    return [len(records), hashlib.sha256(text.getvalue().encode()).hexdigest()]
+class _HashStream:
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode())
+
+
+def trace_digest(sim_config: SimConfig) -> list:
+    """Record count and SHA-256 of attempt_trace's trace_to_csv text, each
+    row hashed as the recorder delivers it, replication by replication, so
+    that no record outlives its row."""
+    cfg, stream, count = validate_sim_config(sim_config), _HashStream(), 0
+    trace_to_csv((), stream)  # the header row
+    writer = csv.writer(stream, lineterminator="\n")
+
+    def recorder(rec: AttemptRecord) -> None:
+        nonlocal count
+        count += 1
+        writer.writerow([getattr(rec, column) for column in TRACE_COLUMNS])
+
+    for rep in range(cfg.replications):
+        _simulate_replication(cfg, rep, recorder=recorder)
+    return [count, stream.sha.hexdigest()]
 
 
 def golden_outputs() -> dict:
@@ -125,9 +149,9 @@ def golden_outputs() -> dict:
     trace_rows = []
     for nu, lam, ues, slots, reps, cutoff in TRACE_POINTS:
         cfg = validate_config(ScenarioConfig(repetitions_nu=nu, lambda_rate=lam))
-        records = attempt_trace(SimConfig(cfg, num_ues=ues, num_slots=slots, seed=SIM_SEED,
-                                          replications=reps, interference_cutoff=cutoff))
-        trace_rows.append([nu, lam, ues, slots, reps, cutoff, *trace_digest(records)])
+        digest = trace_digest(SimConfig(cfg, num_ues=ues, num_slots=slots, seed=SIM_SEED,
+                                        replications=reps, interference_cutoff=cutoff))
+        trace_rows.append([nu, lam, ues, slots, reps, cutoff, *digest])
     return {"plr": plr_rows, "loss_recursion": table_rows, "capacity": capacity_rows,
             "acceptance_capacity": acceptance_rows, "sim": sim_rows, "trace": trace_rows}
 

@@ -38,12 +38,9 @@ from mode2cap.analytic import (
     LAMBDA_START,
     MAX_TRUNCATION_DEPTH,
     REL_TOL,
-    _band_sums,
     _binomial_rows,
     _diagonal_index,
     _load_free_key,
-    _mixing_matrices,
-    _nodes_hy,
     _noncollision_from_profile,
     _PlrNodes,
     _RecursionOperator,
@@ -385,91 +382,121 @@ class TestRecursionCache:
     GRID = {"num_subchannels_b": [3, 5, 8, 12], "repetitions_nu": list(range(9)),
             "plr_target": [1e-2, 1e-5]}
 
-    def test_sweep_builds_each_mixing_key_once(self, scenario, monkeypatch):
-        # every key the sweep asks for is built once, and a second sweep, as
-        # in a warm pool worker's next round, builds none
-        _mixing_matrices.cache_clear()
-        _band_sums.cache_clear()
-        keys, builds = [], []
+    @staticmethod
+    def is_hy(key):
+        # a hy stack's key starts with its load-free key, a mixing key with its width
+        return isinstance(key[0], tuple)
 
-        def requested(*key):
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        cache = OrderedDict()
+        monkeypatch.setattr("mode2cap.analytic._CACHE", cache)
+        return cache
+
+    def test_sweep_builds_each_mixing_key_once(self, scenario, monkeypatch, cache):
+        # every mixing key the sweep asks for is built once, and a second
+        # sweep, as in a warm pool worker's next round, builds none
+        keys, builds, cached = [], [], mode2cap.analytic._cached
+
+        def requested(key, build):
             keys.append(key)
-            return _mixing_matrices(*key)
+            return cached(key, build)
 
         def built(width, q):
             builds.append((width, q))
             return _binomial_rows(width, q)
 
-        monkeypatch.setattr("mode2cap.analytic._mixing_matrices", requested)
+        monkeypatch.setattr("mode2cap.analytic._cached", requested)
         monkeypatch.setattr("mode2cap.analytic._binomial_rows", built)
         first = capacity_sweep(scenario, self.GRID)
-        info = _mixing_matrices.cache_info()
-        assert info.misses == len(set(keys)) == info.currsize < info.maxsize
-        assert len(builds) == 2 * len(set(keys))
-        assert len(set(keys)) < len(keys) // 10
+        mixing = [key for key in keys if not self.is_hy(key)]
+        assert set(mixing) == {key for key in cache if not self.is_hy(key)}
+        assert len(builds) == 2 * len(set(mixing))
+        assert len(set(mixing)) < len(mixing) // 10
         assert capacity_sweep(scenario, self.GRID) == first
-        assert len(builds) == 2 * len(set(keys))
+        assert len(builds) == 2 * len(set(mixing))
 
-    def test_cached_arrays_are_read_only(self, scenario):
+    def test_cached_arrays_are_read_only(self, scenario, cache):
         for nu, lam in [(0, 3.0), (2, 3.0), (5, 30.0)]:
             cfg = replace(scenario, repetitions_nu=nu, lambda_rate=lam)
             op = _RecursionOperator(cfg)
-            key = op.width, repetition_probability(cfg), 1.0 / (nu + 1.0)
-            arrays = [*_mixing_matrices(*key), _band_sums(*key, op.k)]
-            assert arrays[0] is op.g_rep and arrays[1] is op.g_last
-            assert arrays[3].shape == (op.k, op.width)
-            for a in arrays:
+            plr(lam, cfg)
+            key = op.width, repetition_probability(cfg), 1.0 / (nu + 1.0), op.k
+            g_rep, g_last, h, bands = cache[key]
+            assert g_rep is op.g_rep and g_last is op.g_last
+            assert h.shape == (op.width, op.width) and bands.shape == (op.k, op.width)
+            hy, = cache[_load_free_key(cfg), op.width, nu]
+            for a in (g_rep, g_last, h, bands, hy):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.5
 
-    def test_sweep_builds_each_hy_key_once(self, scenario, monkeypatch):
+    def test_sweep_builds_each_hy_key_once(self, scenario, monkeypatch, cache):
         # plr keeps the nodes' hy stacks per process: a sweep builds each
         # (load-free key, width, nu) it meets once, and a second sweep none
-        cache = OrderedDict()
-        monkeypatch.setattr("mode2cap.analytic._HY_CACHE", cache)
-        keys, builds, nodes_hy, hy = [], [], _nodes_hy, _RecursionOperator.hy
+        keys, builds, cached, hy = [], [], mode2cap.analytic._cached, _RecursionOperator.hy
 
-        def requested(key, op, p_nc):
+        def requested(key, build):
             keys.append(key)
-            return nodes_hy(key, op, p_nc)
+            return cached(key, build)
 
         def built(op, p_nc):
             builds.append((op.width, op.nu))
             return hy(op, p_nc)
 
-        monkeypatch.setattr("mode2cap.analytic._nodes_hy", requested)
+        monkeypatch.setattr("mode2cap.analytic._cached", requested)
         monkeypatch.setattr(_RecursionOperator, "hy", built)
         first = capacity_sweep(scenario, self.GRID)
-        assert len(builds) == len(set(keys)) == len(cache) < len(keys) // 3
-        assert sum(a.nbytes for a in cache.values()) <= _RecursionOperator._HY_CACHE_BYTES
+        stacks = [key for key in keys if self.is_hy(key)]
+        kept = [key for key in cache if self.is_hy(key)]
+        assert len(builds) == len(set(stacks)) == len(kept) < len(stacks) // 3
+        assert sum(a.nbytes for entry in cache.values() for a in entry) \
+            <= mode2cap.analytic._CACHE_BYTES
         assert capacity_sweep(scenario, self.GRID) == first
-        assert len(builds) == len(cache)
-        for a in cache.values():
+        assert len(builds) == len(kept)
+        for key in kept:
+            a, = cache[key]
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0, 0] = 0.5
 
-    def test_hy_cache_evicts_oldest_past_byte_cap(self, scenario, monkeypatch):
-        # one plr per nu meets one new hy key each; with room for the last
-        # three stacks only, the first ones go, oldest first
-        cache = OrderedDict()
-        monkeypatch.setattr("mode2cap.analytic._HY_CACHE", cache)
+    def test_hy_cache_evicts_oldest_past_byte_cap(self, scenario, monkeypatch, cache):
+        # one plr per nu meets one new mixing key and one new hy key, in that
+        # order; with room for the last three plr calls' entries only, the
+        # first ones go, oldest first
         configs = [replace(scenario, repetitions_nu=nu) for nu in range(1, 9)]
         points = [plr(3.0, cfg) for cfg in configs]
-        sizes = [a.nbytes for a in cache.values()]
+        sizes = [sum(a.nbytes for a in entry) for entry in cache.values()]
         keys = list(cache)
-        assert len(keys) == len(configs)
+        assert [self.is_hy(key) for key in keys] == [False, True] * len(configs)
         cache.clear()
-        cap = sum(sizes[-3:]) + sizes[-4] // 2
-        monkeypatch.setattr(_RecursionOperator, "_HY_CACHE_BYTES", cap)
+        cap = sum(sizes[-6:]) + sizes[-7] // 2
+        monkeypatch.setattr("mode2cap.analytic._CACHE_BYTES", cap)
         for cfg, point in zip(configs, points):
             assert plr(3.0, cfg) == point
-            assert sum(a.nbytes for a in cache.values()) <= cap
-        assert list(cache) == keys[-3:]
-        # a hit makes its key the newest
+            assert sum(a.nbytes for entry in cache.values() for a in entry) <= cap
+        assert list(cache) == keys[-6:]
+        # a hit makes its keys the newest
         assert plr(3.0, configs[-3]) == points[-3]
-        assert list(cache) == [*keys[-2:], keys[-3]]
+        assert list(cache) == [*keys[-4:], *keys[-6:-4]]
+
+    def test_mixing_arrays_past_byte_cap_are_not_kept(self, monkeypatch, cache):
+        # at nu = 8, PLR 1e-12 and lambda = 1e5 the state is 370 wide: the
+        # mixing matrices with their padding sums take 3.4 MB, and the hy
+        # stack is over the chunk bound, so plr builds it chunk by chunk
+        cfg = make_scenario(repetitions_nu=8, plr_target=1e-12)
+        want = plr(1e5, cfg)
+        (key, arrays), = cache.items()
+        assert key[0] == 370 and sum(a.nbytes for a in arrays) > 3_400_000
+        cap = 3 * 2 ** 20
+        monkeypatch.setattr("mode2cap.analytic._CACHE_BYTES", cap)
+        cache.clear()
+        plr(3.0, cfg)
+        small = list(cache)
+        # built but not kept, and nothing evicted to make room for it
+        assert plr(1e5, cfg) == want
+        assert list(cache) == small
+        assert sum(a.nbytes for entry in cache.values() for a in entry) <= cap
 
     def test_rows_after_warm_cache_equal_fresh_interpreter(self, scenario, tmp_path):
         # the caches hold whatever earlier sweeps left; rows solved after
@@ -493,7 +520,8 @@ class TestRecursionCache:
         capacity_sweep(scenario, self.GRID)
         capacity_sweep(scenario, {"num_subchannels_b": [10], "repetitions_nu": [1, 4, 6, 8],
                                   "plr_target": [1e-2, 1e-5]})
-        assert {key[0] for key in mode2cap.analytic._HY_CACHE} >= {_load_free_key(scenario), *(
+        assert {key[0] for key in mode2cap.analytic._CACHE
+                if self.is_hy(key)} >= {_load_free_key(scenario), *(
             _load_free_key(replace(scenario, num_subchannels_b=b))
             for b in self.GRID["num_subchannels_b"])}
         warm = []
@@ -512,7 +540,7 @@ class TestPlr:
         # plr takes p_s from the nodes' load-free terms and p_nc from their
         # exclusion radii, through these two helpers; the hy stack built from
         # the stand-in p_nc goes to a cache of its own
-        monkeypatch.setattr("mode2cap.analytic._HY_CACHE", OrderedDict())
+        monkeypatch.setattr("mode2cap.analytic._CACHE", OrderedDict())
         monkeypatch.setattr("mode2cap.analytic._success_from_terms",
                             lambda doomed, radius_sum, phi, p: np.full(radius_sum.shape, 0.7))
         monkeypatch.setattr("mode2cap.analytic._noncollision_from_profile",
