@@ -25,8 +25,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import (ConfigError, ScenarioConfig, TrafficIntensityError, geometric_depth,
-                     pool_map, repetition_probability, transmit_probability,
+from .config import (ConfigError, ScenarioConfig, TrafficIntensityError, pool_map,
+                     repetition_probability, transmit_probability, truncation_depth,
                      validate_config)
 from .link import (exclusion_radius, overlap_distribution, reception_breakpoints,
                    sinr_no_interference)
@@ -237,7 +237,7 @@ class _RecursionOperator:
     def __init__(self, config: ScenarioConfig, truncation_k: int | None = None):
         p = self.p = transmit_probability(config)
         self.nu = config.repetitions_nu
-        k = truncation_k if truncation_k is not None else geometric_depth(p, config.plr_target)
+        k = truncation_k if truncation_k is not None else truncation_depth(config)
         self.capped = k > MAX_TRUNCATION_DEPTH
         self.k = min(k, MAX_TRUNCATION_DEPTH)
         # without repetitions no interferer is ever mid-repetition: c = 0 only

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +19,7 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     TrafficIntensityError,
+    _INT_FIELDS,
     json_value,
     pool_map,
     validate_config,
@@ -36,20 +36,9 @@ SWEEP_PARAMETERS = {
 _BELOW_MEASURABLE = 1e-6
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter: a CLI name plus its value list."""
-
-    name: str
-    values: tuple[float, ...]
-
-    @property
-    def field(self) -> str:
-        return SWEEP_PARAMETERS[self.name]
-
-
-def parse_sweep(text: str) -> SweepSpec:
-    """Parse NAME=START..STOP[:STEP] (inclusive) or NAME=v1,v2,... ."""
+def parse_sweep(text: str) -> tuple[str, tuple]:
+    """Parse NAME=START..STOP[:STEP] (inclusive) or NAME=v1,v2,... into the
+    CLI name and its values."""
     if "=" not in text:
         raise ConfigError(f"sweep spec needs NAME=RANGE, got {text!r}")
     name, _, spec = text.partition("=")
@@ -57,7 +46,7 @@ def parse_sweep(text: str) -> SweepSpec:
     if name not in SWEEP_PARAMETERS:
         raise ConfigError(
             f"unknown sweep parameter {name!r} (choose from {sorted(SWEEP_PARAMETERS)})")
-    integral = name in ("nu", "bandwidth_b")
+    integral = SWEEP_PARAMETERS[name] in _INT_FIELDS
     conv = int if integral else float
     try:
         if ".." in spec:
@@ -78,7 +67,7 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ConfigError(f"cannot parse sweep spec {text!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"sweep spec {text!r} produced no values")
-    return SweepSpec(name=name, values=tuple(values))
+    return name, tuple(values)
 
 
 def parse_lambda_list(chunks: Sequence[str] | None) -> list[float]:
@@ -132,14 +121,19 @@ def emit_rows(columns: Sequence[str], rows: Sequence[Sequence], args) -> None:
         lines = [",".join(columns)]
         lines += [",".join(format_value(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    _write_output(text, args)
+    _write(text, args.out)
 
 
-def _write_output(text: str, args) -> None:
-    if args.out is not None:
-        Path(args.out).write_text(text, newline="")
-    else:
+def _write(text: str, path: str | None) -> None:
+    """text to path with no newline translation, or to stdout without one;
+    ConfigError naming the path if it cannot be written."""
+    if path is None:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_sidecar(args, scenario: ScenarioConfig, extra: dict | None = None) -> None:
@@ -149,8 +143,7 @@ def write_sidecar(args, scenario: ScenarioConfig, extra: dict | None = None) -> 
     payload = {"command": args.command, "scenario": scenario.__dict__}
     if extra:
         payload.update(extra)
-    Path(str(args.out) + ".config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", str(args.out) + ".config.json")
 
 
 def cmd_plr(args) -> int:
@@ -169,39 +162,36 @@ def cmd_plr(args) -> int:
 
 def cmd_capacity(args) -> int:
     cfg = load_scenario(args)
-    specs = [parse_sweep(text) for text in args.vary or []]
+    sweeps: dict[str, tuple] = {}  # CLI name -> values
+    for name, values in map(parse_sweep, args.vary or []):
+        if name in sweeps:
+            raise ConfigError(f"sweep parameter {name!r} is given more than once")
+        sweeps[name] = values
     # with no --vary the grid is empty and the sweep gives one row
-    grid = {spec.field: list(spec.values) for spec in specs}
-    rows = [tuple(overrides[spec.field] for spec in specs)
-            + (result.capacity, ";".join(result.flags))
+    grid = {SWEEP_PARAMETERS[name]: list(values) for name, values in sweeps.items()}
+    rows = [tuple(overrides.values()) + (result.capacity, ";".join(result.flags))
             for overrides, result in capacity_sweep(cfg, grid, workers=args.workers)]
-    rows.sort(key=lambda row: row[:len(specs)])
-    emit_rows(tuple(spec.name for spec in specs) + ("capacity", "flag"), rows, args)
-    write_sidecar(args, cfg, {"vary": [f"{s.name}={list(s.values)}" for s in specs]})
+    rows.sort(key=lambda row: row[:len(sweeps)])
+    emit_rows(tuple(sweeps) + ("capacity", "flag"), rows, args)
+    write_sidecar(args, cfg, {"vary": [f"{n}={list(v)}" for n, v in sweeps.items()]})
     return 0
 
 
+def _sim_fields(args) -> dict:
+    """The simulation flags as SimConfig fields."""
+    return {"num_ues": args.num_ues, "num_slots": args.slots, "seed": args.seed,
+            "replications": args.replications}
+
+
 def _build_sim_config(args, cfg: ScenarioConfig) -> SimConfig:
-    return validate_sim_config(SimConfig(
-        scenario=cfg,
-        num_ues=args.num_ues,
-        num_slots=args.slots,
-        seed=args.seed,
-        replications=args.replications,
-    ))
+    return validate_sim_config(SimConfig(scenario=cfg, **_sim_fields(args)))
 
 
 def cmd_simulate(args) -> int:
     cfg = load_scenario(args)
-    sim_cfg = _build_sim_config(args, cfg)
-    report = sim_run(sim_cfg, workers=args.workers)
-    _write_output(report.to_json(), args)
-    write_sidecar(args, cfg, {
-        "num_ues": sim_cfg.num_ues,
-        "num_slots": sim_cfg.num_slots,
-        "seed": sim_cfg.seed,
-        "replications": sim_cfg.replications,
-    })
+    report = sim_run(_build_sim_config(args, cfg), workers=args.workers)
+    _write(report.to_json(), args.out)
+    write_sidecar(args, cfg, _sim_fields(args))
     return 0
 
 
@@ -224,13 +214,7 @@ def cmd_validate(args) -> int:
                      report.confidence_interval_95, ratio, ";".join(flags)))
     emit_rows(("lambda", "plr_analytic", "plr_sim", "ci", "ratio", "flag"),
               rows, args)
-    write_sidecar(args, cfg, {
-        "lambda": lambdas,
-        "num_ues": args.num_ues,
-        "num_slots": args.slots,
-        "seed": args.seed,
-        "replications": args.replications,
-    })
+    write_sidecar(args, cfg, {"lambda": lambdas, **_sim_fields(args)})
     return 0
 
 

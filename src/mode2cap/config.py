@@ -123,12 +123,8 @@ def truncation_depth(config: ScenarioConfig) -> int:
 
     ceil(log_p target); the tail beyond it is below the QoS resolution.
     """
-    return geometric_depth(transmit_probability(config), config.plr_target)
-
-
-def geometric_depth(p: float, plr_target: float) -> int:
-    """truncation_depth at transmit probability p."""
-    return max(1, math.ceil(math.log(plr_target) / math.log(p)))
+    p = transmit_probability(config)
+    return max(1, math.ceil(math.log(config.plr_target) / math.log(p)))
 
 
 _UNIT_FIELDS = {"tx_power_s": ("watts", "dbm", dbm_to_watts),

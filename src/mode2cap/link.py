@@ -48,27 +48,18 @@ def sinr_no_interference(r: ArrayLike, config: ScenarioConfig) -> float | np.nda
 def overlap_distribution(b: int, m_width: int) -> tuple[float, ...]:
     """Probabilities of overlap width m = 0..M for two M-wide allocations.
 
-    Counted exactly in integers over the (b - m_width + 1)**2 equally likely
-    start pairs, converted to float at the end.  The zero-overlap case applies
-    for 2*m_width <= b; at 2*m_width == b it is the correct continuation of
-    the same expression (checked against a brute-force enumeration).
+    Counted exactly in integers over the n**2 equally likely ordered start
+    pairs, n = b - m_width + 1, and converted to float at the end.  Of the
+    pairs whose starts are d apart, there are n at d = 0 and 2(n - d) beyond,
+    and each overlaps on max(M - d, 0) subchannels.
     """
     if not (1 <= m_width <= b):
         raise ValueError(f"need 1 <= m_width <= b, got m_width={m_width}, b={b}")
-    m_w = m_width
-    denom = (b + 1 - m_w) ** 2
-    counts = []
-    for m in range(m_w + 1):
-        if m == m_w:
-            num = b + 1 - m_w
-        elif m < 2 * m_w - b:
-            num = 0
-        elif m == 0:
-            num = (b + 2 - 2 * m_w) * (b + 1 - 2 * m_w)
-        else:
-            num = 2 * (b + m + 1 - 2 * m_w)
-        counts.append(num)
-    return tuple(c / denom for c in counts)
+    n = b + 1 - m_width
+    counts = [0] * (m_width + 1)
+    for d in range(n):
+        counts[max(m_width - d, 0)] += 2 * (n - d) if d else n
+    return tuple(c / n ** 2 for c in counts)
 
 
 def exclusion_radius(r: ArrayLike, m_overlap: ArrayLike,

@@ -117,10 +117,6 @@ class _RepResult:
     losses: int = 0
     hd_losses: int = 0
 
-    @property
-    def plr(self) -> float:
-        return self.losses / self.pairs if self.pairs else math.nan
-
 
 def validate_sim_config(sim_config: SimConfig) -> SimConfig:
     counts = {name: integer_field(name, getattr(sim_config, name))
@@ -198,6 +194,12 @@ def _schedule(sc: ScenarioConfig, rng: np.random.Generator, n: int, horizon: int
     return tx[order], slots[order], subs[order]
 
 
+def _runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The runs start[i], start[i] + 1, ..., start[i] + length[i] - 1, one
+    after another."""
+    return np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
+
+
 # bound on a chunk's pairs times attempts (see the chunking below).  Serial
 # replications, 2 cores, median of 15 rounds at 2**14 / 2**15 / 2**16: 0.077 /
 # 0.074 / 0.078 s at the sim-crosscheck nu = 0 point and 0.207 / 0.196 / 0.201 s
@@ -235,7 +237,7 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
     measured = (e0 <= tx) & (tx < e1) & (slots[:, -1] < horizon)
     pair_count = np.where(measured, (rx_hi - rx_lo - 1)[tx], 0)
     pair_start = np.cumsum(pair_count) - pair_count
-    pair_rx = np.arange(pair_count.sum()) + np.repeat(rx_lo[tx] - pair_start, pair_count)
+    pair_rx = _runs(rx_lo[tx], pair_count)
     pair_rx += pair_rx >= np.repeat(tx, pair_count)
     received = np.zeros(pair_rx.size, dtype=bool)
     # a pair is heard once an attempt finds its receiver free; a lost pair
@@ -268,8 +270,7 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
         # the pass's pairs, attempt by attempt: the attempt and the index into
         # the flat pair arrays
         pass_k = np.repeat(attempts, lengths)
-        pass_pair = np.arange(pass_k.size) + np.repeat(
-            pair_start[att_pkt[attempts]] - np.cumsum(lengths) + lengths, lengths)
+        pass_pair = _runs(pair_start[att_pkt[attempts]], lengths)
         if recorder is None:
             pending = ~received[pass_pair]
             pass_k, pass_pair = pass_k[pending], pass_pair[pending]
@@ -295,8 +296,7 @@ def _simulate_replication(sim_config: SimConfig, replication: int,
             kf, free_group, rx_pos = k[free], group[free], pos[rx[free]]
             width = count[free_group]
             cross_pair = np.repeat(np.arange(kf.size), width)
-            cross_att = np.arange(cross_pair.size) + np.repeat(
-                first[free_group] - np.cumsum(width) + width, width)
+            cross_att = _runs(first[free_group], width)
             dist = np.abs(np.repeat(rx_pos, width) - att_pos[cross_att])
             # an interferer beyond the cutoff, or whose M subchannels miss the
             # pair's (its start off by M or more), would add +0.0: leave it out
@@ -352,7 +352,7 @@ def run(sim_config: SimConfig, workers: int = 1) -> SimReport:
     pairs = sum(r.pairs for r in results)
     if pairs == 0:
         raise ConfigError("no pairs measured (num_slots too small or line too short)")
-    per_rep = [r.plr for r in results if r.pairs]
+    per_rep = [r.losses / r.pairs for r in results if r.pairs]
     mean = sum(per_rep) / len(per_rep)
     if len(per_rep) >= 2:
         var = sum((x - mean) ** 2 for x in per_rep) / (len(per_rep) - 1)

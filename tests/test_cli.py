@@ -114,6 +114,21 @@ class TestPlrCommand:
         assert sidecar["scenario"]["phi"] == 0.05
         assert sidecar["lambda"] == [3.0]
 
+    def test_unwritable_out_exits_2_and_names_path(self, tmp_path):
+        target = tmp_path / "no-such-dir" / "curve.csv"
+        out = invoke("plr", "--lambda", "1", "--out", str(target))
+        assert out.returncode == 2
+        assert out.stderr == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_unwritable_sidecar_exits_2_and_names_path(self, tmp_path):
+        target = tmp_path / "curve.csv"
+        sidecar = tmp_path / "curve.csv.config.json"
+        sidecar.mkdir()
+        out = invoke("plr", "--lambda", "1", "--out", str(target))
+        assert out.returncode == 2
+        assert out.stderr == f"error: cannot write {sidecar}: Is a directory\n"
+        assert target.read_text().startswith("lambda,plr,")
+
 
 class TestCapacityCommand:
     def test_single_row(self):
@@ -152,11 +167,17 @@ class TestCapacityCommand:
         assert "packet_width_m" in out.stderr
 
     def test_float_range_values_are_exact(self):
-        assert parse_sweep("plr_target=0.1..0.5:0.1").values == (0.1, 0.2, 0.3, 0.4, 0.5)
-        values = parse_sweep("plr_target=0.001..0.01:0.001").values
+        assert parse_sweep("plr_target=0.1..0.5:0.1") == ("plr_target", (0.1, 0.2, 0.3, 0.4, 0.5))
+        _, values = parse_sweep("plr_target=0.001..0.01:0.001")
         assert len(values) == 10
         assert values[-1] == 0.01
-        assert parse_sweep("nu=1..8:3").values == (1, 4, 7)
+        assert parse_sweep("nu=1..8:3") == ("nu", (1, 4, 7))
+
+    def test_repeated_sweep_name_rejected(self):
+        out = invoke("capacity", "--vary", "nu=1,2", "--vary", "nu=3")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "'nu'" in out.stderr
 
     def test_json_format(self):
         out = invoke("capacity", "--vary", "nu=0,1", "--format", "json")

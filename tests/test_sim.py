@@ -17,7 +17,7 @@ from mode2cap import (
     validate_sim_config,
 )
 from mode2cap import sim
-from mode2cap.sim import _schedule, _simulate_replication
+from mode2cap.sim import _runs, _schedule, _simulate_replication
 
 from conftest import make_scenario
 from oracles import schedule_reference, simulate_replication_reference
@@ -270,6 +270,35 @@ class TestHalfDuplex:
                             mutual += 1
                             assert (rec.outcome, rec.cause) == ("fail", "half_duplex")
         assert mutual > 0
+
+
+class TestRuns:
+    """sim._runs expands the pair, pass and cross-product runs; pin it to a
+    plain loop, with zero-length runs (an unmeasured packet has no pairs)."""
+
+    @staticmethod
+    def loop(start, length):
+        return [s + i for s, n in zip(start.tolist(), length.tolist()) for i in range(n)]
+
+    @pytest.mark.parametrize("start, length", [
+        ([4, 0, 9, 2], [0, 3, 0, 2]),
+        ([7, 3], [2, 0]),
+        ([5, 6, 1], [0, 0, 0]),
+        ([], []),
+    ])
+    def test_matches_loop(self, start, length):
+        start, length = np.array(start, dtype=np.int64), np.array(length, dtype=np.int64)
+        got = _runs(start, length)
+        assert got.dtype == np.int64
+        assert got.tolist() == self.loop(start, length)
+
+    def test_matches_loop_random(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            size = int(rng.integers(0, 30))
+            start = rng.integers(0, 1000, size=size)
+            length = np.where(rng.random(size) < 0.4, 0, rng.integers(0, 6, size=size))
+            assert _runs(start, length).tolist() == self.loop(start, length)
 
 
 def count_chunks(monkeypatch) -> list:
