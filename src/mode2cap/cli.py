@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from decimal import Decimal
-from pathlib import Path
 from typing import Sequence
 
 from .analytic import capacity_sweep, plr
@@ -24,7 +24,7 @@ from .config import (
     pool_map,
     validate_config,
 )
-from .sim import SimConfig, run as sim_run, validate_sim_config
+from .sim import SimConfig, run as sim_run
 
 # CLI sweep names -> ScenarioConfig fields
 SWEEP_PARAMETERS = {
@@ -111,43 +111,33 @@ def format_value(value) -> str:
     return str(value)
 
 
-def emit_rows(columns: Sequence[str], rows: Sequence[Sequence], args) -> None:
-    """Write rows as CSV (17 significant digits, LF endings) or JSON, where a
-    nan or infinite value is null."""
+def format_rows(columns: Sequence[str], rows: Sequence[Sequence], args) -> str:
+    """Rows as CSV (17 significant digits, LF endings) or JSON, where a nan or
+    infinite value is null."""
     if args.format == "json":
         payload = [{col: json_value(v) for col, v in zip(columns, row)} for row in rows]
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines += [",".join(format_value(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    lines = [",".join(columns)]
+    lines += [",".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _write(text: str, path: str | None) -> None:
-    """text to path with no newline translation, or to stdout without one;
-    ConfigError naming the path if it cannot be written."""
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write(path: str, text: str | None = None) -> None:
+    """text to path with no newline translation or, with no text, a check that
+    path opens for writing that leaves behind no file it made; ConfigError
+    naming the path if either fails."""
+    made = text is None and not os.path.lexists(path)
     try:
-        Path(path).write_text(text, newline="")
+        with open(path, "a" if text is None else "w", newline="") as fh:
+            fh.write(text or "")
+        if made:
+            os.remove(path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_sidecar(args, scenario: ScenarioConfig, extra: dict | None = None) -> None:
-    """Log the fully-resolved configuration next to the output file."""
-    if args.out is None:
-        return
-    payload = {"command": args.command, "scenario": scenario.__dict__}
-    if extra:
-        payload.update(extra)
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", str(args.out) + ".config.json")
-
-
-def cmd_plr(args) -> int:
-    cfg = load_scenario(args)
+# each command maps (args, scenario) to its output text and its sidecar fields
+def cmd_plr(args, cfg: ScenarioConfig) -> tuple[str, dict]:
     lambdas = parse_lambda_list(args.lambda_list)
     points = pool_map(plr, [(lam, cfg) for lam in lambdas], args.workers)
     rows = [
@@ -155,13 +145,11 @@ def cmd_plr(args) -> int:
          "model_validity" if pt.validity_warning else "")
         for pt in points
     ]
-    emit_rows(("lambda", "plr", "error_estimate", "validity_flag"), rows, args)
-    write_sidecar(args, cfg, {"lambda": lambdas})
-    return 0
+    text = format_rows(("lambda", "plr", "error_estimate", "validity_flag"), rows, args)
+    return text, {"lambda": lambdas}
 
 
-def cmd_capacity(args) -> int:
-    cfg = load_scenario(args)
+def cmd_capacity(args, cfg: ScenarioConfig) -> tuple[str, dict]:
     sweeps: dict[str, tuple] = {}  # CLI name -> values
     for name, values in map(parse_sweep, args.vary or []):
         if name in sweeps:
@@ -172,9 +160,8 @@ def cmd_capacity(args) -> int:
     rows = [tuple(overrides.values()) + (result.capacity, ";".join(result.flags))
             for overrides, result in capacity_sweep(cfg, grid, workers=args.workers)]
     rows.sort(key=lambda row: row[:len(sweeps)])
-    emit_rows(tuple(sweeps) + ("capacity", "flag"), rows, args)
-    write_sidecar(args, cfg, {"vary": [f"{n}={list(v)}" for n, v in sweeps.items()]})
-    return 0
+    text = format_rows(tuple(sweeps) + ("capacity", "flag"), rows, args)
+    return text, {"vary": [f"{n}={list(v)}" for n, v in sweeps.items()]}
 
 
 def _sim_fields(args) -> dict:
@@ -183,39 +170,42 @@ def _sim_fields(args) -> dict:
             "replications": args.replications}
 
 
-def _build_sim_config(args, cfg: ScenarioConfig) -> SimConfig:
-    return validate_sim_config(SimConfig(scenario=cfg, **_sim_fields(args)))
+def _simulate(args, cfg: ScenarioConfig):
+    return sim_run(SimConfig(scenario=cfg, **_sim_fields(args)), workers=args.workers)
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_scenario(args)
-    report = sim_run(_build_sim_config(args, cfg), workers=args.workers)
-    _write(report.to_json(), args.out)
-    write_sidecar(args, cfg, _sim_fields(args))
-    return 0
+_NO_PAIRS = "no pairs measured (num_slots too small or line too short)"
 
 
-def cmd_validate(args) -> int:
-    cfg = load_scenario(args)
+def cmd_simulate(args, cfg: ScenarioConfig) -> tuple[str, dict]:
+    report = _simulate(args, cfg)
+    if report.pairs_measured == 0:
+        raise ConfigError(_NO_PAIRS)
+    return report.to_json(), _sim_fields(args)
+
+
+def cmd_validate(args, cfg: ScenarioConfig) -> tuple[str, dict]:
     lambdas = parse_lambda_list(args.lambda_list)
-    rows = []
+    rows, pairs = [], 0
     for lam in lambdas:
         analytic_pt = plr(lam, cfg)
-        sim_cfg = _build_sim_config(args, cfg.with_lambda(lam))
-        report = sim_run(sim_cfg, workers=args.workers)
+        report = _simulate(args, cfg.with_lambda(lam))
+        pairs += report.pairs_measured
+        # nan when the load measured no pair
         sim_plr = report.plr_estimate
         ratio = analytic_pt.plr / sim_plr if sim_plr > 0 else math.nan
         flags = []
-        if analytic_pt.plr < _BELOW_MEASURABLE and sim_plr < _BELOW_MEASURABLE:
+        if analytic_pt.plr < _BELOW_MEASURABLE and not sim_plr >= _BELOW_MEASURABLE:
             flags.append("below_measurable")
         if analytic_pt.validity_warning:
             flags.append("model_validity")
         rows.append((lam, analytic_pt.plr, sim_plr,
                      report.confidence_interval_95, ratio, ";".join(flags)))
-    emit_rows(("lambda", "plr_analytic", "plr_sim", "ci", "ratio", "flag"),
-              rows, args)
-    write_sidecar(args, cfg, {"lambda": lambdas, **_sim_fields(args)})
-    return 0
+    if lambdas and pairs == 0:
+        raise ConfigError(_NO_PAIRS)
+    text = format_rows(("lambda", "plr_analytic", "plr_sim", "ci", "ratio", "flag"),
+                       rows, args)
+    return text, {"lambda": lambdas, **_sim_fields(args)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,10 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, formats: bool = True) -> None:
         p.add_argument("--config", metavar="PATH", help="JSON scenario config")
         p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=int, default=1,
                        help="parallel workers for independent evaluations")
 
@@ -253,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(names: {', '.join(sorted(SWEEP_PARAMETERS))})")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run, JSON report")
-    common(p_sim)
+    common(p_sim, formats=False)
     sim_flags(p_sim)
 
     p_val = sub.add_parser("validate", help="analytic vs simulated PLR side by side")
@@ -275,13 +266,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError("workers out of range (need at least 1)")
-        return args.func(args)
-    except ConfigError as exc:
+        cfg = load_scenario(args)
+        paths = [] if args.out is None else [args.out, args.out + ".config.json"]
+        for path in paths:  # both must open before the work, and are written after it
+            _write(path)
+        text, fields = args.func(args, cfg)
+        sidecar = {"command": args.command, "scenario": cfg.__dict__, **fields}
+        contents = (text, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        if not paths:
+            sys.stdout.write(text)
+        for path, content in zip(paths, contents):
+            _write(path, content)
+        return 0
+    except (ConfigError, TrafficIntensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TrafficIntensityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -343,17 +343,15 @@ def run(sim_config: SimConfig, workers: int = 1) -> SimReport:
     """Run all replications and aggregate into a SimReport.
 
     Replications use independent sub-seeded streams and are reduced in
-    replication order, so the report does not depend on `workers`.
+    replication order, so the report does not depend on `workers`.  With no
+    pair measured, the estimate and the interval are nan.
     """
     cfg = validate_sim_config(sim_config)
     payloads = [(cfg, rep) for rep in range(cfg.replications)]
     results = pool_map(_simulate_replication, payloads, workers)
 
-    pairs = sum(r.pairs for r in results)
-    if pairs == 0:
-        raise ConfigError("no pairs measured (num_slots too small or line too short)")
     per_rep = [r.losses / r.pairs for r in results if r.pairs]
-    mean = sum(per_rep) / len(per_rep)
+    mean = sum(per_rep) / len(per_rep) if per_rep else math.nan
     if len(per_rep) >= 2:
         var = sum((x - mean) ** 2 for x in per_rep) / (len(per_rep) - 1)
         ci = 1.96 * math.sqrt(var / len(per_rep))
@@ -364,7 +362,7 @@ def run(sim_config: SimConfig, workers: int = 1) -> SimReport:
     return SimReport(
         plr_estimate=mean,
         confidence_interval_95=ci,
-        pairs_measured=pairs,
+        pairs_measured=sum(r.pairs for r in results),
         losses=losses,
         half_duplex_losses=hd_losses,
         interference_losses=losses - hd_losses,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from mode2cap import cli
 from mode2cap.cli import parse_sweep
 
 CMD = [sys.executable, "-m", "mode2cap"]
@@ -127,7 +128,40 @@ class TestPlrCommand:
         out = invoke("plr", "--lambda", "1", "--out", str(target))
         assert out.returncode == 2
         assert out.stderr == f"error: cannot write {sidecar}: Is a directory\n"
-        assert target.read_text().startswith("lambda,plr,")
+        assert not target.exists()
+
+
+class TestWritePath:
+    """main checks that --out and its sidecar open before any work, and writes
+    them only once the whole result is there."""
+
+    @pytest.mark.parametrize("args", [
+        ("plr", "--lambda", "1,2"),
+        ("capacity", "--vary", "nu=0..8"),
+        ("simulate", "--num-ues", "120", "--slots", "3000"),
+        ("validate", "--lambda", "10", "--num-ues", "120", "--slots", "3000"),
+    ], ids=lambda args: args[0])
+    def test_missing_out_dir_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                     args):
+        def fail(*_, **__):
+            raise AssertionError("work started before --out was checked")
+        for name in ("capacity_sweep", "pool_map", "plr", "sim_run"):
+            monkeypatch.setattr(cli, name, fail)
+        target = tmp_path / "missing" / "out.csv"
+        assert cli.main([*args, "--out", str(target)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {target}: No such file or directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_after_check_keeps_out_and_writes_no_sidecar(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, repetitions_nu=0)
+        target = tmp_path / "curve.csv"
+        target.write_bytes(b"keep,me\r\n")
+        assert cli.main(["plr", "--config", cfg, "--lambda", "1,5000",
+                         "--out", str(target)]) == 3
+        assert "traffic too intense" in capsys.readouterr().err
+        assert target.read_bytes() == b"keep,me\r\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["curve.csv", "scenario.json"]
 
 
 class TestCapacityCommand:
@@ -236,6 +270,18 @@ class TestSimulateCommand:
         assert "lambda_rate must be finite" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_short_line_exits_2(self):
+        out = invoke("simulate", "--num-ues", "10", "--slots", "1000")
+        assert out.returncode == 2
+        assert out.stderr == "error: no pairs measured (num_slots too small or line too short)\n"
+
+    def test_format_option_rejected(self):
+        out = invoke("simulate", "--format", "csv", "--num-ues", "120", "--slots", "3000",
+                     "--replications", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "--format" in out.stderr
+
     def test_phi_override(self, tmp_path):
         dense = invoke("simulate", "--num-ues", "300", "--slots", "3000",
                        "--replications", "2", "--seed", "3", "--phi", "0.1")
@@ -274,6 +320,25 @@ class TestValidateCommand:
         assert row["plr_sim"] == 0.0
         assert row["ratio"] is None and row["ci"] is None
         assert row["flag"] == "below_measurable"
+
+    def test_unmeasured_load_keeps_every_row(self, tmp_path):
+        # at lambda = 1e-6 no packet's last attempt falls inside the horizon
+        cfg = write_config(tmp_path, repetitions_nu=2, num_subchannels_b=20)
+        out = invoke("validate", "--config", cfg, "--lambda", "30,1e-6", "--num-ues", "200",
+                     "--slots", "1500", "--replications", "2", "--seed", "7")
+        assert out.returncode == 0
+        _, (measured, unmeasured) = parse_csv(out.stdout)
+        assert float(measured[2]) > 0.0 and measured[5] == ""
+        assert float(unmeasured[0]) == 1e-6
+        assert float(unmeasured[1]) < 1e-6
+        assert unmeasured[2:] == ["nan", "nan", "nan", "below_measurable"]
+
+    def test_no_load_measured_exits_2(self, tmp_path):
+        out = invoke("validate", "--lambda", "1e-6", "--num-ues", "200", "--slots", "1500",
+                     "--replications", "2")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "no pairs measured" in out.stderr
 
     @pytest.mark.parametrize("value", ["0", "-5", "nan"])
     def test_nonpositive_or_nan_load_exits_2_and_names_value(self, value):

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import defaultdict
 
@@ -106,8 +107,13 @@ class TestValidation:
         assert received == pytest.approx(sc.noise_sigma / 100.0, rel=1e-9)
 
     def test_short_line_measures_nothing(self):
-        with pytest.raises(ConfigError, match="no pairs measured"):
-            run(small_sim(num_ues=10, num_slots=1000))
+        report = run(small_sim(num_ues=10, num_slots=1000))
+        assert (report.pairs_measured, report.losses, report.half_duplex_losses,
+                report.interference_losses) == (0, 0, 0, 0)
+        assert math.isnan(report.plr_estimate)
+        assert math.isnan(report.confidence_interval_95)
+        data = json.loads(report.to_json())
+        assert data["plr_estimate"] is None and data["confidence_interval_95"] is None
 
 
 class TestDeterminism:
