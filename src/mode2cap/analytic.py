@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import OrderedDict
-from contextvars import ContextVar
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, fields, replace
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -158,10 +157,10 @@ def _noncollision_from_profile(weights: np.ndarray,
 # The loss recursion's load-free arrays live here, one copy per process,
 # filled on first use and shared by every load, solve and sweep row after it:
 # the mixing matrices with their padding sums, keyed by (width, p_rep,
-# q_last, k), and the quadrature nodes' hy stacks, keyed by (load-free key,
-# width, nu).  Entries are read-only and evicted least recently used first;
-# they hold _CACHE_BYTES at most in all, and an entry larger than that is
-# built but not kept.
+# q_last, k), plr's node arrays, keyed by (load-free key,), and the nodes'
+# hy stacks, keyed by (load-free key, width, nu).  Entries are read-only and
+# evicted least recently used first; they hold _CACHE_BYTES at most in all,
+# and an entry larger than that is built but not kept.
 _CACHE_BYTES = 2 ** 24
 _CACHE: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 
@@ -348,49 +347,49 @@ REL_TOL = 1e-3
 # plr's quadrature: a 24- and a 32-node Gauss-Legendre rule on each piece of
 # (0, R] between the link's breakpoints, inside which the loss is smooth (the
 # reference scenario has none: one piece, 56 nodes); the 32-node sum is
-# reported and its distance from the 24-node sum is the error estimate
-_RULES = [np.polynomial.legendre.leggauss(n) for n in (24, 32)]
+# reported and its distance from the 24-node sum is the error estimate.
+# Built on first use, since leggauss imports numpy.polynomial
+@cache
+def _rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    return tuple(np.polynomial.legendre.leggauss(n) for n in (24, 32))
 
 
-class _PlrNodes:
-    """plr's lambda-free arrays for one load-free config: nodes and weights,
-    p_nc and success_prob's load-free part (the doomed mask and the radius
-    sum S) from one set of exclusion radii.  They hold no hy: plr keeps the
-    nodes' hy stacks per process in _CACHE.
+_PlrNodes = namedtuple("_PlrNodes", "r coarse_w fine_w doomed radius_sum p_nc")
+
+
+def _plr_nodes(config: ScenarioConfig) -> _PlrNodes:
+    """plr's lambda-free arrays for one load-free config: the nodes r of both
+    rules, each rule's weights, and p_nc and success_prob's load-free part
+    (the doomed mask and the radius sum S) from one set of exclusion radii.
+    plr keeps them per process in _CACHE, beside the nodes' hy stacks.
 
     When r_T, the largest breakpoint, is below R, p_s falls to 0 there as
     exp(-k (r_T - r)^(-1/3)), a boundary layer that plain Gauss-Legendre
     misses; both rules then grade the piece that ends at r_T toward it, with
     r = r_T - h (1 - s)^3 and s = (x + 1) / 2 for a piece of length h.
     """
-
-    def __init__(self, config: ScenarioConfig):
-        breaks = reception_breakpoints(config)
-        ends = np.array([0.0, *(b for b in breaks if 0.0 < b < config.range_r),
-                         config.range_r])
-        mid, half = (0.5 * (ends[1:] + ends[:-1]))[:, None], (0.5 * np.diff(ends))[:, None]
-        r, weights = [], []
-        for x, w in _RULES:
-            # r[i, j] = mid_i + half_i * x_j with weight half_i * w_j
-            nodes, wts = mid + half * x, half * w
-            if breaks[-1] < config.range_r:  # the next-to-last piece ends at r_T
-                t = 0.5 * (1.0 - x)  # 1 - s
-                nodes[-2] = ends[-2] - 2.0 * half[-2] * t ** 3
-                wts[-2] = 3.0 * half[-2] * t ** 2 * w
-            r.append(nodes.ravel())
-            weights.append(wts.ravel().tolist())
-        self.r, self.weights = np.concatenate(r), weights
-        self.doomed, self.radius_sum, self.p_nc = _link_terms(self.r, config)
+    breaks = reception_breakpoints(config)
+    ends = np.array([0.0, *(b for b in breaks if 0.0 < b < config.range_r),
+                     config.range_r])
+    mid, half = (0.5 * (ends[1:] + ends[:-1]))[:, None], (0.5 * np.diff(ends))[:, None]
+    r, weights = [], []
+    for x, w in _rules():
+        # r[i, j] = mid_i + half_i * x_j with weight half_i * w_j
+        nodes, wts = mid + half * x, half * w
+        if breaks[-1] < config.range_r:  # the next-to-last piece ends at r_T
+            t = 0.5 * (1.0 - x)  # 1 - s
+            nodes[-2] = ends[-2] - 2.0 * half[-2] * t ** 3
+            wts[-2] = 3.0 * half[-2] * t ** 2 * w
+        r.append(nodes.ravel())
+        weights.append(wts.ravel())
+    r = np.concatenate(r)
+    return _PlrNodes(r, *weights, *_link_terms(r, config))
 
 
-# what _PlrNodes depends on: every field but the load, nu and the PLR target
+# what _plr_nodes depends on: every field but the load, nu and the PLR target
 _load_free_key = operator.attrgetter(*(
     f.name for f in fields(ScenarioConfig)
     if f.name not in ("lambda_rate", "repetitions_nu", "plr_target")))
-
-# the node arrays plr reuses, by load-free key: those of the running capacity
-# solve, or of every config the running sweep batch has met; unset otherwise
-_SHARED_NODES: ContextVar[dict | None] = ContextVar("_SHARED_NODES", default=None)
 
 
 def plr(lambda_rate: float, config: ScenarioConfig, *,
@@ -406,16 +405,14 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
     validity flag is set when the recursion clamped at some node, so it
     samples the load's clamped region at the nodes only.  On a flagged point
     the clamp puts a kink that no breakpoint splits, and the error estimate
-    is no bound there.  Inside a capacity solve or sweep batch that has met
-    a config of the same load-free key, the lambda-free node arrays are that
-    config's; elsewhere each call builds its own.  The mixing matrices,
+    is no bound there.  The lambda-free node arrays, the mixing matrices,
     padding sums and the nodes' hy stack come from the process's _CACHE
     while they fit its byte budget, each with the same result bit for bit.
     """
     if not 0.0 < lambda_rate < math.inf:
         raise ConfigError(f"lambda_rate must be finite and > 0, got {lambda_rate!r}")
     key = _load_free_key(config)
-    nodes = (_SHARED_NODES.get() or {}).get(key) or _PlrNodes(config)
+    nodes = _cached((key,), lambda: _plr_nodes(config))
     op = _RecursionOperator(config.with_lambda(lambda_rate), truncation_k)
     p_s = _success_from_terms(nodes.doomed, nodes.radius_sum, config.phi, op.p)
     # a stack over the chunk bound is built chunk by chunk in levels instead
@@ -423,11 +420,9 @@ def plr(lambda_rate: float, config: ScenarioConfig, *,
         _cached((key, op.width, op.nu), lambda: (op.hy(nodes.p_nc),))[0]
     values, clamped = op.plr_r(p_s, nodes.p_nc, hy)
     # summed node by node, left to right (sum() compensates from Python 3.12 on)
-    coarse_w, fine_w = nodes.weights
-    values = values.tolist()
-    coarse = reduce(operator.add, map(operator.mul, coarse_w, values[:len(coarse_w)]), 0.0)
-    fine = reduce(operator.add, map(operator.mul, fine_w, values[len(coarse_w):]), 0.0)
-    coarse, fine = coarse / config.range_r, fine / config.range_r
+    n = len(nodes.coarse_w)
+    coarse, fine = (reduce(operator.add, (w * v).tolist(), 0.0) / config.range_r
+                    for w, v in ((nodes.coarse_w, values[:n]), (nodes.fine_w, values[n:])))
     return PlrCurvePoint(lambda_rate, plr=float(fine), error_estimate=float(abs(fine - coarse)),
                          validity_warning=bool(clamped.any()))
 
@@ -471,49 +466,41 @@ def capacity(config: ScenarioConfig) -> CapacityResult:
         trail.append((math.log(lam), math.log(value / config.plr_target)))
         return trail[-1][1]
 
-    shared = _SHARED_NODES.get()
-    shared = {} if shared is None else shared
-    if (key := _load_free_key(config)) not in shared:
-        shared[key] = _PlrNodes(config)
-    token = _SHARED_NODES.set(shared)
-    try:
-        # step away from LAMBDA_START until f changes sign or an end is reached
-        lam, f = LAMBDA_START, excess(LAMBDA_START)
-        up, last, floor = f <= 0.0, lam, 0.1
-        while (f <= 0.0) == up and lam != (LAMBDA_CAP if up else LAMBDA_LO):
-            last, x, step = lam, math.log(lam), math.log(10.0)
-            if math.isfinite(f):
-                slope = 1.0 if len(trail) < 2 else max(_slope(*trail[-2:]), 0.5)
-                step = min(max(abs(f) / slope + 0.1, floor), step)
-            x, floor = x + (step if up else -step), 2.0 * floor
-            lam = (LAMBDA_CAP if x >= math.log(LAMBDA_CAP) else
-                   LAMBDA_LO if x <= math.log(LAMBDA_LO) else math.exp(x))
-            f = excess(lam)
-        if (f <= 0.0) == up:  # no crossing: feasible at the cap, or not at the floor
-            last = lam if up else 0.0
-        lo, hi = sorted([last, lam])
-        tol, stalls = math.log1p(REL_TOL), 0
-        while lo > 0.0 and hi / lo > 1.0 + REL_TOL:
-            a, b = math.log(lo), math.log(hi)
-            x = math.nan  # the aim
-            if stalls < 2 and len(trail) > 1 and (slope := _slope(*trail[-2:])) != 0.0:
-                x = trail[-1][0] - trail[-1][1] / slope
-            if not (secant := math.isfinite(x)):
-                x = 0.5 * (a + b)
-            elif x < a + tol:
-                x = a + (1.0 - 1e-6) * tol
-            elif x > b - tol:
-                x = b - (1.0 - 1e-6) * tol
-            else:  # a secant tends to keep its loads on one side of the crossing
-                x += 0.5 * tol if x > trail[-1][0] else -0.5 * tol
-            mid = math.exp(min(max(x, a + 0.5 * tol), b - 0.5 * tol))
-            if excess(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            stalls = stalls + 1 if secant and math.log(hi / lo) > 0.5 * (b - a) else 0
-    finally:
-        _SHARED_NODES.reset(token)
+    # step away from LAMBDA_START until f changes sign or an end is reached
+    lam, f = LAMBDA_START, excess(LAMBDA_START)
+    up, last, floor = f <= 0.0, lam, 0.1
+    while (f <= 0.0) == up and lam != (LAMBDA_CAP if up else LAMBDA_LO):
+        last, x, step = lam, math.log(lam), math.log(10.0)
+        if math.isfinite(f):
+            slope = 1.0 if len(trail) < 2 else max(_slope(*trail[-2:]), 0.5)
+            step = min(max(abs(f) / slope + 0.1, floor), step)
+        x, floor = x + (step if up else -step), 2.0 * floor
+        lam = (LAMBDA_CAP if x >= math.log(LAMBDA_CAP) else
+               LAMBDA_LO if x <= math.log(LAMBDA_LO) else math.exp(x))
+        f = excess(lam)
+    if (f <= 0.0) == up:  # no crossing: feasible at the cap, or not at the floor
+        last = lam if up else 0.0
+    lo, hi = sorted([last, lam])
+    tol, stalls = math.log1p(REL_TOL), 0
+    while lo > 0.0 and hi / lo > 1.0 + REL_TOL:
+        a, b = math.log(lo), math.log(hi)
+        x = math.nan  # the aim
+        if stalls < 2 and len(trail) > 1 and (slope := _slope(*trail[-2:])) != 0.0:
+            x = trail[-1][0] - trail[-1][1] / slope
+        if not (secant := math.isfinite(x)):
+            x = 0.5 * (a + b)
+        elif x < a + tol:
+            x = a + (1.0 - 1e-6) * tol
+        elif x > b - tol:
+            x = b - (1.0 - 1e-6) * tol
+        else:  # a secant tends to keep its loads on one side of the crossing
+            x += 0.5 * tol if x > trail[-1][0] else -0.5 * tol
+        mid = math.exp(min(max(x, a + 0.5 * tol), b - 0.5 * tol))
+        if excess(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        stalls = stalls + 1 if secant and math.log(hi / lo) > 0.5 * (b - a) else 0
 
     values = np.array([samples[lam].plr for lam in sorted(samples)])
     nonmonotonic = np.any(np.diff(values) < -1e-9 * np.maximum(np.abs(values[:-1]), 1e-300))
@@ -523,13 +510,8 @@ def capacity(config: ScenarioConfig) -> CapacityResult:
 
 
 def _sweep_batch(config: ScenarioConfig, batch: list[dict]) -> list[CapacityResult]:
-    """capacity of each row of a sweep batch; rows of one load-free key share
-    their node arrays."""
-    token = _SHARED_NODES.set({})
-    try:
-        return [capacity(validate_config(replace(config, **o))) for o in batch]
-    finally:
-        _SHARED_NODES.reset(token)
+    """capacity of each row of a sweep batch."""
+    return [capacity(validate_config(replace(config, **o))) for o in batch]
 
 
 def capacity_sweep(config: ScenarioConfig, grid: Mapping[str, Sequence], *,

@@ -33,7 +33,6 @@ from mode2cap import (
     validate_config,
 )
 from mode2cap.analytic import (
-    _SHARED_NODES,
     LAMBDA_CAP,
     LAMBDA_START,
     MAX_TRUNCATION_DEPTH,
@@ -42,7 +41,7 @@ from mode2cap.analytic import (
     _diagonal_index,
     _load_free_key,
     _noncollision_from_profile,
-    _PlrNodes,
+    _plr_nodes,
     _RecursionOperator,
 )
 
@@ -323,7 +322,7 @@ class TestBatchedRecursion:
         # and a grid of forced p_s (0 overloads every level) and p_nc
         cfg = make_scenario(repetitions_nu=nu, lambda_rate=lam, plr_target=1e-5)
         op = _RecursionOperator(cfg, truncation_k)
-        nodes = _PlrNodes(cfg)
+        nodes = _plr_nodes(cfg)
         p_s = success_prob(nodes.r, cfg)
         forced_s, forced_nc = np.array(list(product(
             [0.0, 5e-324, 1e-300, 1e-3, 0.5, 0.999, 1.0], [0.0, 0.3, 1.0]))).T
@@ -370,7 +369,7 @@ class TestBatchedRecursion:
     def test_chunked_grid_equals_one_chunk(self, scenario, monkeypatch):
         # K = 60 at nu = 2 makes the state 181 wide: 32 nodes per chunk, so
         # the 56 nodes of both rules run in 2 chunks
-        k, nodes = 60, len(_PlrNodes(scenario).r)
+        k, nodes = 60, len(_plr_nodes(scenario).r)
         assert -(-nodes // _RecursionOperator(scenario, truncation_k=k).chunk) == 2
         chunked = plr(10.0, scenario, truncation_k=k)
         monkeypatch.setattr(_RecursionOperator, "_BATCH_ELEMENTS", 2 ** 40)
@@ -382,10 +381,15 @@ class TestRecursionCache:
     GRID = {"num_subchannels_b": [3, 5, 8, 12], "repetitions_nu": list(range(9)),
             "plr_target": [1e-2, 1e-5]}
 
+    # a mixing key starts with its width, a node key is (load-free key,) and
+    # a hy stack's key is (load-free key, width, nu)
+    @staticmethod
+    def is_mixing(key):
+        return not isinstance(key[0], tuple)
+
     @staticmethod
     def is_hy(key):
-        # a hy stack's key starts with its load-free key, a mixing key with its width
-        return isinstance(key[0], tuple)
+        return isinstance(key[0], tuple) and len(key) == 3
 
     @pytest.fixture
     def cache(self, monkeypatch):
@@ -409,8 +413,8 @@ class TestRecursionCache:
         monkeypatch.setattr("mode2cap.analytic._cached", requested)
         monkeypatch.setattr("mode2cap.analytic._binomial_rows", built)
         first = capacity_sweep(scenario, self.GRID)
-        mixing = [key for key in keys if not self.is_hy(key)]
-        assert set(mixing) == {key for key in cache if not self.is_hy(key)}
+        mixing = [key for key in keys if self.is_mixing(key)]
+        assert set(mixing) == {key for key in cache if self.is_mixing(key)}
         assert len(builds) == 2 * len(set(mixing))
         assert len(set(mixing)) < len(mixing) // 10
         assert capacity_sweep(scenario, self.GRID) == first
@@ -426,7 +430,8 @@ class TestRecursionCache:
             assert g_rep is op.g_rep and g_last is op.g_last
             assert h.shape == (op.width, op.width) and bands.shape == (op.k, op.width)
             hy, = cache[_load_free_key(cfg), op.width, nu]
-            for a in (g_rep, g_last, h, bands, hy):
+            nodes = cache[_load_free_key(cfg),]
+            for a in (g_rep, g_last, h, bands, hy, *nodes):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.5
@@ -460,25 +465,51 @@ class TestRecursionCache:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0, 0] = 0.5
 
+    def test_nodes_built_once_per_load_free_key(self, scenario, monkeypatch, cache):
+        # plr keeps its node arrays per process: separate plr calls, a
+        # capacity solve and a sweep over B, nu and the PLR target build each
+        # load-free key's nodes once, and a second sweep builds none
+        builds, build = [], _plr_nodes
+
+        def counted(config):
+            builds.append(_load_free_key(config))
+            return build(config)
+
+        monkeypatch.setattr("mode2cap.analytic._plr_nodes", counted)
+        points = [plr(lam, scenario) for lam in (0.5, 3.0, 12.0)]
+        capacity(replace(scenario, repetitions_nu=2, plr_target=1e-5))
+        grid = {"num_subchannels_b": [5, 10], "repetitions_nu": [0, 3],
+                "plr_target": [1e-2, 1e-5]}
+        first = capacity_sweep(scenario, grid)
+        keys = [_load_free_key(scenario), _load_free_key(replace(scenario, num_subchannels_b=5))]
+        assert builds == keys
+        assert capacity_sweep(scenario, grid) == first
+        assert [plr(lam, scenario) for lam in (0.5, 3.0, 12.0)] == points
+        assert builds == keys
+        assert {(key,) for key in keys} <= set(cache)
+
     def test_hy_cache_evicts_oldest_past_byte_cap(self, scenario, monkeypatch, cache):
-        # one plr per nu meets one new mixing key and one new hy key, in that
-        # order; with room for the last three plr calls' entries only, the
-        # first ones go, oldest first
+        # every plr call here reads the one node key first, which makes it the
+        # newest entry, and then meets one new mixing key and one new hy key,
+        # in that order; with room for the nodes and the last three plr
+        # calls' other entries only, the first ones go, oldest first
         configs = [replace(scenario, repetitions_nu=nu) for nu in range(1, 9)]
         points = [plr(3.0, cfg) for cfg in configs]
+        node_key = _load_free_key(scenario),
+        node_size = sum(a.nbytes for a in cache.pop(node_key))
         sizes = [sum(a.nbytes for a in entry) for entry in cache.values()]
         keys = list(cache)
         assert [self.is_hy(key) for key in keys] == [False, True] * len(configs)
         cache.clear()
-        cap = sum(sizes[-6:]) + sizes[-7] // 2
+        cap = node_size + sum(sizes[-6:]) + sizes[-7] // 2
         monkeypatch.setattr("mode2cap.analytic._CACHE_BYTES", cap)
         for cfg, point in zip(configs, points):
             assert plr(3.0, cfg) == point
             assert sum(a.nbytes for entry in cache.values() for a in entry) <= cap
-        assert list(cache) == keys[-6:]
+        assert list(cache) == [*keys[-6:-2], node_key, *keys[-2:]]
         # a hit makes its keys the newest
         assert plr(3.0, configs[-3]) == points[-3]
-        assert list(cache) == [*keys[-4:], *keys[-6:-4]]
+        assert list(cache) == [*keys[-4:], node_key, *keys[-6:-4]]
 
     def test_mixing_arrays_past_byte_cap_are_not_kept(self, monkeypatch, cache):
         # at nu = 8, PLR 1e-12 and lambda = 1e5 the state is 370 wide: the
@@ -486,16 +517,18 @@ class TestRecursionCache:
         # stack is over the chunk bound, so plr builds it chunk by chunk
         cfg = make_scenario(repetitions_nu=8, plr_target=1e-12)
         want = plr(1e5, cfg)
-        (key, arrays), = cache.items()
+        assert list(cache)[0] == (_load_free_key(cfg),)
+        (key, arrays), = [(key, arrays) for key, arrays in cache.items() if self.is_mixing(key)]
+        assert len(cache) == 2
         assert key[0] == 370 and sum(a.nbytes for a in arrays) > 3_400_000
         cap = 3 * 2 ** 20
         monkeypatch.setattr("mode2cap.analytic._CACHE_BYTES", cap)
         cache.clear()
         plr(3.0, cfg)
-        small = list(cache)
+        small = set(cache)
         # built but not kept, and nothing evicted to make room for it
         assert plr(1e5, cfg) == want
-        assert list(cache) == small
+        assert set(cache) == small
         assert sum(a.nbytes for entry in cache.values() for a in entry) <= cap
 
     def test_rows_after_warm_cache_equal_fresh_interpreter(self, scenario, tmp_path):
@@ -534,6 +567,25 @@ class TestRecursionCache:
                 warm.append(f"{pt.plr.hex()} {pt.error_estimate.hex()} {pt.validity_warning}")
         assert fresh == "\n".join(warm) + "\n"
 
+    def test_cli_plr_after_warm_cache_equals_fresh_interpreter(self, scenario, tmp_path):
+        # CLI plr reads its node arrays, mixing matrices and hy stacks from
+        # whatever earlier sweeps at its own load-free config (B = 10) and at
+        # others left in the process; its CSV must equal a fresh
+        # interpreter's byte for byte, at nu = 0 and at nu = 1
+        from mode2cap import cli
+        loads = "0.5,0.9,1.6,2.9,5.2,9.3,17,30"
+        env = dict(os.environ, PYTHONPATH=str(Path(mode2cap.__file__).parents[1]))
+        capacity_sweep(scenario, {"num_subchannels_b": [5, 10], "repetitions_nu": list(range(3)),
+                                  "plr_target": [1e-2, 1e-5]})
+        for nu in (0, 1):
+            config = tmp_path / f"nu{nu}.json"
+            config.write_text(f'{{"repetitions_nu": {nu}}}')
+            args = ["plr", "--config", str(config), "--lambda", loads, "--out"]
+            subprocess.run([sys.executable, "-m", "mode2cap", *args, str(tmp_path / "fresh.csv")],
+                           env=env, cwd=tmp_path, check=True)
+            assert cli.main([*args, str(tmp_path / "warm.csv")]) == 0
+            assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
 
 class TestPlr:
     def test_constant_integrand_is_identity(self, scenario, monkeypatch):
@@ -554,22 +606,20 @@ class TestPlr:
     @pytest.mark.parametrize("kwargs", [{}, dict(range_r=300.0), dict(packet_width_m=5)],
                              ids=["reference", "range300", "width5"])
     def test_node_success_prob_is_success_prob(self, monkeypatch, kwargs, lam):
-        # a solve's plr calls take p_s at its nodes from their doomed mask
-        # and radius sum, kept across loads: bit for bit success_prob's; the
-        # nodes' p_nc is repetition_noncollision_prob's
+        # plr takes p_s at its nodes from their doomed mask and radius sum,
+        # kept across loads: bit for bit success_prob's; the nodes' p_nc is
+        # repetition_noncollision_prob's
         cfg = make_scenario(**kwargs)
-        nodes, seen, plr_r = _PlrNodes(cfg), [], _RecursionOperator.plr_r
+        cache, seen, plr_r = OrderedDict(), [], _RecursionOperator.plr_r
 
         def recording(op, p_s, p_nc, hy=None):
             seen.append(p_s)
             return plr_r(op, p_s, p_nc, hy)
 
         monkeypatch.setattr(_RecursionOperator, "plr_r", recording)
-        token = _SHARED_NODES.set({_load_free_key(cfg): nodes})
-        try:
-            plr(lam, cfg)
-        finally:
-            _SHARED_NODES.reset(token)
+        monkeypatch.setattr("mode2cap.analytic._CACHE", cache)
+        plr(lam, cfg)
+        nodes = cache[_load_free_key(cfg),]
         want = success_prob(nodes.r, cfg.with_lambda(lam))
         assert np.array_equal(seen[0], want)
         # beyond r_T < R noise alone breaks reception
@@ -594,10 +644,11 @@ class TestPlr:
 
         monkeypatch.setattr(_RecursionOperator, "plr_r", recording)
         point = plr(lam, cfg)
-        coarse_w, fine_w = _PlrNodes(cfg).weights
+        nodes = _plr_nodes(cfg)
         sums = []
-        for weights, values in ((coarse_w, seen[0][:len(coarse_w)]),
-                                (fine_w, seen[0][len(coarse_w):])):
+        n = len(nodes.coarse_w)
+        for weights, values in ((nodes.coarse_w.tolist(), seen[0][:n]),
+                                (nodes.fine_w.tolist(), seen[0][n:])):
             total = 0.0
             for w, v in zip(weights, values, strict=True):
                 total += w * v
@@ -622,7 +673,7 @@ class TestPlr:
         # piece; 1e-5 = REL_TOL / 100 moves a capacity by under a hundredth
         # of the solver's step
         cfg = make_scenario(repetitions_nu=nu)
-        assert len(_PlrNodes(cfg).r) == 56
+        assert len(_plr_nodes(cfg).r) == 56
         point = plr(lam, cfg)
         assert not point.validity_warning
         assert point.plr == pytest.approx(plr_composite(lam, cfg), rel=1e-5, abs=0.0)
@@ -639,7 +690,7 @@ class TestPlr:
         cfg = make_scenario(repetitions_nu=nu, **kwargs)
         inside = [b for b in reception_breakpoints(cfg) if 0.0 < b < cfg.range_r]
         assert len(inside) == points
-        assert len(_PlrNodes(cfg).r) == 56 * (points + 1)
+        assert len(_plr_nodes(cfg).r) == 56 * (points + 1)
         loaded = cfg.with_lambda(lam)
         with warnings.catch_warnings():
             warnings.simplefilter("error", integrate.IntegrationWarning)
@@ -832,8 +883,8 @@ class TestCapacity:
 
     @pytest.mark.parametrize("nu, target", [(2, 1e-5), (8, 1e-2)])
     def test_plr_inside_a_solve_equals_standalone(self, monkeypatch, nu, target):
-        # the solve's plr calls share its node arrays; a call on another
-        # config inside the solve must not
+        # the solve's plr calls and the calls on another load-free config
+        # inside it each read their own key's node arrays from the cache
         cfg = make_scenario(num_subchannels_b=10, repetitions_nu=nu, plr_target=target)
         other = replace(cfg, num_subchannels_b=12)
         inside = []
@@ -845,7 +896,7 @@ class TestCapacity:
         monkeypatch.setattr("mode2cap.analytic.plr", recording)
         result = capacity(cfg)
         monkeypatch.undo()
-        assert _SHARED_NODES.get() is None
+        assert {(_load_free_key(cfg),), (_load_free_key(other),)} <= set(mode2cap.analytic._CACHE)
         assert result.capacity in [lam for lam, _, _ in inside]
         for lam, point, point_other in inside:
             assert point == plr(lam, cfg)

@@ -1,8 +1,12 @@
 """numpy is the package's only third-party runtime dependency: a fresh
 interpreter that imports mode2cap and runs each front door once loads no
-scipy module (the tests themselves use scipy as an independent reference)."""
+scipy module (the tests themselves use scipy as an independent reference).
+Importing the package and its CLI loads no numpy.polynomial either: plr
+builds its quadrature rules on first use."""
 import subprocess
 import sys
+
+import pytest
 
 SCRIPT = """
 import sys
@@ -19,3 +23,17 @@ def test_package_runs_without_loading_scipy():
     out = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_out_numpy_polynomial():
+    # numpy before 2.0 imports numpy.polynomial itself
+    code = ("import sys, numpy\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            "import mode2cap, mode2cap.cli\n"
+            "print('numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    by_numpy, by_package = out.stdout.split()
+    if by_numpy == "True":
+        pytest.skip("numpy itself imports numpy.polynomial")
+    assert by_package == "False"
